@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Sequence, Tuple
 
@@ -32,7 +33,7 @@ from .errors import (
     UniformizationOverflow,
 )
 from .lattice import LatticeMeasure, Window, log_plus_weights
-from .model import ModelParams, rate_arrays
+from .model import EXP_LIMIT, ModelParams, rate_arrays
 
 UNIFORMIZATION_LIMIT = 700.0
 PMF_TAIL = 1e-15
@@ -54,11 +55,13 @@ class FrozenPath:
             raise ValueError("times, L_values, M_values must have equal nonzero length")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        if not (np.isfinite(L).all() and np.isfinite(M).all()):
-            raise ValueError("path values must be finite")
+        if not (np.isfinite(t).all() and np.isfinite(L).all() and np.isfinite(M).all()):
+            raise ValueError("path times and values must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "L_values", L)
         object.__setattr__(self, "M_values", M)
+        # knot lists for `at`, which runs on every thinning proposal
+        object.__setattr__(self, "_knots", (t.tolist(), L.tolist(), M.tolist()))
 
     @classmethod
     def constant(cls, L: float, M: float) -> "FrozenPath":
@@ -74,16 +77,25 @@ class FrozenPath:
         )
 
     def at(self, t: float) -> Tuple[float, float]:
+        """(L(t), M(t)), bit-identical to np.interp on the knots: end
+        values outside the range, the knot value on a knot, otherwise
+        slope*(t - t_j) + y_j with slope = (y_{j+1} - y_j)/(t_{j+1} - t_j)."""
+        ts, Ls, Ms = self._knots
+        j = bisect_right(ts, t) - 1
+        if j < 0:
+            return Ls[0], Ms[0]
+        if j == len(ts) - 1 or ts[j] == t:
+            return Ls[j], Ms[j]
+        dt = ts[j + 1] - ts[j]
+        x = t - ts[j]
         return (
-            float(np.interp(t, self.times, self.L_values)),
-            float(np.interp(t, self.times, self.M_values)),
+            (Ls[j + 1] - Ls[j]) / dt * x + Ls[j],
+            (Ms[j + 1] - Ms[j]) / dt * x + Ms[j],
         )
 
     def envelope(self, t0: float, t1: float) -> Tuple[float, float]:
         """(max L, min M) over [t0, t1] (piecewise-linear => knots suffice)."""
-        knots = [t0, t1] + [
-            float(t) for t in self.times if t0 < t < t1
-        ]
+        knots = [t0, t1] + [t for t in self._knots[0] if t0 < t < t1]
         Ls, Ms = zip(*(self.at(t) for t in knots))
         return max(Ls), min(Ms)
 
@@ -148,9 +160,8 @@ def v_induced_norm(gen: Generator, alpha: float) -> float:
     log_w = log_plus_weights(gen.window, alpha)
     up = np.zeros(gen.window.size)
     down = np.zeros(gen.window.size)
-    with np.errstate(divide="ignore"):
-        lu = np.where(gen.upper > 0, np.log(gen.upper, where=gen.upper > 0), -np.inf)
-        lm = np.where(gen.lower > 0, np.log(gen.lower, where=gen.lower > 0), -np.inf)
+    lu = np.log(gen.upper, out=np.full_like(gen.upper, -np.inf), where=gen.upper > 0)
+    lm = np.log(gen.lower, out=np.full_like(gen.lower, -np.inf), where=gen.lower > 0)
     up[:-1] = np.exp(lu + log_w[1:] - log_w[:-1])
     down[1:] = np.exp(lm + log_w[:-1] - log_w[1:])
     return float((up + down).max())
@@ -322,6 +333,26 @@ def _path_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
+def _dominating_rates(
+    betas: Sequence[float], c: float, window: Window, L_max: float, M_min: float
+) -> list:
+    """Thinning bound R[n - n_min] = lambda bound + mu bound per site, for an
+    interval on which L <= L_max and M >= M_min; edge rates are truncated
+    as in the finite chain.  `betas` holds beta(n) for n in
+    [n_min - 1, n_max].  A bound whose exponent exceeds EXP_LIMIT is inf,
+    so the window may reach sites no path can be sampled on."""
+
+    def bound(b: float, a: float) -> float:
+        return b * math.exp(a) if a <= EXP_LIMIT else math.inf
+
+    R = []
+    for i, n in enumerate(range(window.n_min, window.n_max + 1)):
+        lam = bound(betas[i + 1], -c * (n - L_max)) if n < window.n_max else 0.0
+        mu = bound(betas[i], c * (n - M_min)) if n > window.n_min else 0.0
+        R.append(lam + mu)
+    return R
+
+
 def sample_paths(
     params: ModelParams,
     path: FrozenPath,
@@ -334,39 +365,39 @@ def sample_paths(
 
     Returns an (n_paths, len(sample_times)) integer array of positions.
     Each path jumps by thinning against the dominating rate of its
-    *current* site over the current inter-sample interval, computed from
-    the interval's (max L, min M) envelope; edge rates are truncated as in
-    the finite chain.
+    *current* site over the current inter-sample interval.  The bounds are
+    per site and per interval: each interval's (max L, min M) envelope
+    and its table of per-site bounds are built once and shared by all
+    paths.  Edge rates are truncated as in the finite chain.  Path i draws
+    from its own counter-based stream keyed by (seed, i), so it does not
+    depend on n_paths; a path that sits on a site whose bound is not
+    samplable raises DominatingRateOverflow.
     """
     ts = np.asarray(sample_times, dtype=float)
     if len(ts) < 1 or (len(ts) > 1 and not np.all(np.diff(ts) > 0)):
         raise ValueError("sample_times must be nonempty, strictly increasing")
     window = p0.window
+    n_min, n_max = window.n_min, window.n_max
     c = params.c
-    sites = window.sites()
+    betas = [params.beta.value(n) for n in range(n_min - 1, n_max + 1)]
+    intervals = [
+        (t0, t1, _dominating_rates(betas, c, window, *path.envelope(t0, t1)))
+        for t0, t1 in zip(ts[:-1].tolist(), ts[1:].tolist())
+    ]
+    # the CDF that rng.choice(sites, p=probs) builds on every call; one
+    # uniform draw against it picks the same site
     probs = np.clip(p0.values, 0.0, None)
-    probs = probs / probs.sum()
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
 
     out = np.empty((n_paths, len(ts)), dtype=int)
     for i in range(n_paths):
         rng = _path_rng(seed, i)
-        pos = int(rng.choice(sites, p=probs))
+        pos = n_min + int(cdf.searchsorted(rng.random(), side="right"))
         out[i, 0] = pos
-        for k in range(len(ts) - 1):
-            t, t_end = float(ts[k]), float(ts[k + 1])
-            L_max, M_min = path.envelope(t, t_end)
+        for k, (t, t_end, bounds) in enumerate(intervals, 1):
             while True:
-                lam_bound = (
-                    params.beta.value(pos) * math.exp(-c * (pos - L_max))
-                    if pos < window.n_max
-                    else 0.0
-                )
-                mu_bound = (
-                    params.beta.value(pos - 1) * math.exp(c * (pos - M_min))
-                    if pos > window.n_min
-                    else 0.0
-                )
-                R = lam_bound + mu_bound
+                R = bounds[pos - n_min]
                 if not math.isfinite(R) or R > 1e12:
                     raise DominatingRateOverflow(
                         f"dominating rate {R:g} at site {pos} not samplable"
@@ -378,13 +409,13 @@ def sample_paths(
                     break
                 L_t, M_t = path.at(t)
                 lam = (
-                    params.beta.value(pos) * math.exp(-c * (pos - L_t))
-                    if pos < window.n_max
+                    betas[pos - n_min + 1] * math.exp(-c * (pos - L_t))
+                    if pos < n_max
                     else 0.0
                 )
                 mu = (
-                    params.beta.value(pos - 1) * math.exp(c * (pos - M_t))
-                    if pos > window.n_min
+                    betas[pos - n_min] * math.exp(c * (pos - M_t))
+                    if pos > n_min
                     else 0.0
                 )
                 u = rng.random() * R
@@ -392,7 +423,7 @@ def sample_paths(
                     pos += 1
                 elif u < lam + mu:
                     pos -= 1
-            out[i, k + 1] = pos
+            out[i, k] = pos
     return out
 
 

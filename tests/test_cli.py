@@ -155,6 +155,25 @@ class TestOtherCommands:
         ) == 0
         assert (out_a / "paths.csv").read_bytes() != (out_b / "paths.csv").read_bytes()
 
+    @pytest.mark.parametrize("start", [720, 30])
+    def test_sample_paths_unsamplable_start(self, tmp_path, capsys, start):
+        # at site 720 the thinning bound's exponent overflows; at site 30
+        # the bound is finite but beyond what the sampler accepts
+        text = BASE.replace("m = 12", "m = 730").replace(
+            "p = delta:0", f"p = delta:{start}"
+        ) + textwrap.dedent(
+            """
+            [paths]
+            n_paths = 5
+            sample_times = 0.0, 0.5
+            path = constant
+            """
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["sample-paths", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "dominating rate" in err and f"at site {start} " in err
+
     def test_particles(self, tmp_path):
         text = BASE + textwrap.dedent(
             """

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwalk import (
     FrozenPath,
@@ -11,6 +14,7 @@ from nlwalk import (
     SystemState,
     Window,
     dyson_series,
+    fixed_point,
     generator_at,
     integrate,
     kernel_weighted_distance,
@@ -24,6 +28,50 @@ from nlwalk.errors import NonConstantPath, UniformizationOverflow
 
 PATH0 = FrozenPath.constant(1.3, -0.4)
 PARAMS = ModelParams()
+
+
+@pytest.fixture(scope="module")
+def readme_path(bench_params, bench_state0):
+    """The README config's (L, M) path on [0, 1], as criterion 7 samples it."""
+    log = integrate(
+        bench_params, bench_state0, 1.0,
+        IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=21),
+    )
+    return FrozenPath.from_log(log)
+
+
+class TestFrozenPath:
+    @given(
+        start=st.floats(-10.0, 10.0),
+        gaps=st.lists(st.floats(1e-6, 10.0), max_size=12),
+        values=st.lists(st.floats(-1e6, 1e6), min_size=26, max_size=26),
+        fractions=st.lists(st.floats(-0.5, 1.5), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_at_is_np_interp(self, start, gaps, values, fractions):
+        # knots, midpoints, arbitrary points inside and outside the range;
+        # no gaps means a single-knot (constant) path
+        times = start + np.concatenate(([0.0], np.cumsum(gaps)))
+        k = len(times)
+        path = FrozenPath(times, np.array(values[:k]), np.array(values[13:13 + k]))
+        span = times[-1] - times[0]
+        queries = [
+            *times,
+            *(0.5 * (times[:-1] + times[1:])),
+            *(times[0] + f * span for f in fractions),
+            times[0] - 1.0,
+            times[-1] + 1.0,
+        ]
+        for t in queries:
+            expected = (
+                float(np.interp(t, times, path.L_values)),
+                float(np.interp(t, times, path.M_values)),
+            )
+            assert path.at(float(t)) == expected
+
+    def test_rejects_non_finite_times(self):
+        with pytest.raises(ValueError):
+            FrozenPath(np.array([0.0, np.inf]), np.zeros(2), np.zeros(2))
 
 
 class TestGenerator:
@@ -138,6 +186,31 @@ class TestDyson:
 
 
 class TestSamplePaths:
+    # Pinned sha256 of the sampled positions: a faster sampler must
+    # reproduce every draw of every path.  The README path comes from
+    # `integrate`, so a change to the integrator's output legitimately
+    # moves the first two digests.
+    @pytest.mark.parametrize(
+        "path_kind, start, times, seed, digest",
+        [
+            ("readme", "delta", [0.0, 0.5, 1.0], 2024,
+             "e0b35c25837a4181fc8e58228bced503bdd14fa15a7c370829a7e76130b84689"),
+            ("readme", "gaussian", [0.0, 0.3, 0.5, 1.0], 9,
+             "935cd3eb5f89ba62f234b10f2ce291e34bf7f76fffb5d2efb674879960c66bcc"),
+            ("constant", "gaussian", [0.0, 0.3, 0.5, 1.0], 9,
+             "1212ae5865417c1b6813cbed6de69a619b6333af01bf3f28888a71297125272e"),
+        ],
+        ids=["readme-delta", "readme-gaussian", "constant-gaussian"],
+    )
+    def test_golden_output(
+        self, readme_path, bench_state0, path_kind, start, times, seed, digest
+    ):
+        path = readme_path if path_kind == "readme" else PATH0
+        w = bench_state0.window
+        p0 = bench_state0.p if start == "delta" else fixed_point(PARAMS, 0.3, w).pi
+        walks = sample_paths(PARAMS, path, p0, times, 2000, seed=seed)
+        assert hashlib.sha256(walks.tobytes()).hexdigest() == digest
+
     def test_all_start_at_origin(self):
         w = Window.symmetric(8)
         walks = sample_paths(
