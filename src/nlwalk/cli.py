@@ -404,10 +404,13 @@ def cmd_particles(cfg: RunConfig, args) -> int:
     dt = cfg.getfloat("particles", "dt", 1e-3)
     T = cfg.getfloat("particles", "t_final", cfg.getfloat("run", "t_final", 5.0))
     seed = _seed(cfg, args)
-    log = run_particles(
-        cfg.params, state0.p, state0.L, state0.M, n, T, dt, seed,
-        n_samples=cfg.getint("particles", "n_samples", 51),
-    )
+    try:
+        log = run_particles(
+            cfg.params, state0.p, state0.L, state0.M, n, T, dt, seed,
+            n_samples=cfg.getint("particles", "n_samples", 51),
+        )
+    except ValueError as e:
+        raise ConfigError(f"invalid particles section: {e}") from e
     with (out / "particles.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "L", "M", "K_N"])

@@ -114,16 +114,19 @@ class TrajectoryLog:
         return self.samples[-1].state
 
 
-def rhs(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, float]:
-    """(dp, dL, dM) of the truncated system; sum(dp) = 0 in exact arithmetic."""
-    p = state.p.values
-    lam, mu = rate_arrays(params, state.L, state.M, state.window)
+def _rhs(params, window, p, L, M) -> Tuple[np.ndarray, float, float]:
+    lam, mu = rate_arrays(params, L, M, window)
     dp = -(lam + mu) * p
     dp[1:] += lam[:-1] * p[:-1]
     dp[:-1] += mu[1:] * p[1:]
     dL = -float(np.dot(p, lam)) + params.C_lambda
     dM = float(np.dot(p, mu)) - params.C_mu
     return dp, dL, dM
+
+
+def rhs(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, float]:
+    """(dp, dL, dM) of the truncated system; sum(dp) = 0 in exact arithmetic."""
+    return _rhs(params, state.window, state.p.values, state.L, state.M)
 
 
 def rhs_sd(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, float]:
@@ -241,14 +244,7 @@ def _strang_step(params, ws, p, L, M, h):
 
 def _rhs_flat(params, window, y):
     size = window.size
-    p = y[:size]
-    L, M = y[size], y[size + 1]
-    lam, mu = rate_arrays(params, L, M, window)
-    dp = -(lam + mu) * p
-    dp[1:] += lam[:-1] * p[:-1]
-    dp[:-1] += mu[1:] * p[1:]
-    dL = -float(np.dot(p, lam)) + params.C_lambda
-    dM = float(np.dot(p, mu)) - params.C_mu
+    dp, dL, dM = _rhs(params, window, y[:size], y[size], y[size + 1])
     return np.concatenate([dp, [dL, dM]])
 
 

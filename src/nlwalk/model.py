@@ -10,6 +10,7 @@ and the weighted-operator-norm estimate live here as plain functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Tuple, Union
@@ -137,9 +138,17 @@ def jump_rates(params: ModelParams, L: float, M: float, n: int) -> Tuple[float, 
     return lam, mu
 
 
+@functools.lru_cache(maxsize=64)
 def beta_array(profile: BetaProfile, n_lo: int, n_hi: int) -> np.ndarray:
-    """beta(n) for n in [n_lo, n_hi] inclusive."""
-    return np.array([eval_beta(profile, n) for n in range(n_lo, n_hi + 1)])
+    """beta(n) for n in [n_lo, n_hi] inclusive, as a read-only float array.
+
+    Cached per (profile, n_lo, n_hi): the profiles are frozen, so every
+    caller gets the same array.  The dtype is fixed to float because equal
+    profiles such as ConstantBeta(1) and ConstantBeta(1.0) share an entry.
+    """
+    out = np.array([eval_beta(profile, n) for n in range(n_lo, n_hi + 1)], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def rate_arrays(
@@ -151,18 +160,20 @@ def rate_arrays(
     right edge, mu at the left edge), which is the finite-chain
     approximation used everywhere downstream.
     """
-    n = window.sites().astype(float)
-    a = -params.c * (n - L)
-    b = params.c * (n - M)
-    if np.abs(a).max() > EXP_LIMIT or np.abs(b).max() > EXP_LIMIT:
+    c, lo, hi = params.c, window.n_min, window.n_max
+    # both exponents are monotone in n, so their extremes sit at the ends
+    if max(
+        abs(c * (lo - L)), abs(c * (hi - L)), abs(c * (lo - M)), abs(c * (hi - M))
+    ) > EXP_LIMIT:
         raise RateOverflow(
             f"rate exponent out of range on window {window} (L={L}, M={M})"
         )
+    n = window.sites().astype(float)
+    a = -c * (n - L)
+    b = c * (n - M)
     lam = beta_array(params.beta, window.n_min, window.n_max) * np.exp(a)
     mu = beta_array(params.beta, window.n_min - 1, window.n_max - 1) * np.exp(b)
     if truncated:
-        lam = lam.copy()
-        mu = mu.copy()
         lam[-1] = 0.0
         mu[0] = 0.0
     return lam, mu

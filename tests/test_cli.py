@@ -190,6 +190,27 @@ class TestOtherCommands:
         assert payload["n"] == 200
         assert (out / "particles.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", "0"),
+            ("n", "-5"),
+            ("dt", "0"),
+            ("dt", "nan"),
+            ("t_final", "-1.0"),
+            ("t_final", "inf"),
+            ("n_samples", "0"),
+        ],
+    )
+    def test_particles_invalid_input(self, tmp_path, capsys, key, value):
+        settings = {"n": "200", "dt": "0.001", "t_final": "0.5", "n_samples": "11"}
+        settings[key] = value
+        lines = "".join(f"{k} = {v}\n" for k, v in settings.items())
+        text = BASE + "\n[particles]\n" + lines
+        cfg = write_config(tmp_path, text)
+        assert main(["particles", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_diagnose_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         sim_out = tmp_path / "sim"

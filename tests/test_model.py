@@ -18,7 +18,7 @@ from nlwalk import (
     rate_arrays,
 )
 from nlwalk.errors import InvalidProfile, RateOverflow
-from nlwalk.model import eval_beta, largest_contraction_constant
+from nlwalk.model import beta_array, eval_beta, largest_contraction_constant
 
 
 class TestEvalBeta:
@@ -158,3 +158,56 @@ class TestRateArrays:
             ln, mn = jump_rates(params, 0.3, -0.2, int(n))
             assert lam[i] == pytest.approx(ln, rel=1e-14)
             assert mu[i] == pytest.approx(mn, rel=1e-14)
+
+    @pytest.mark.parametrize("truncated", [True, False])
+    @pytest.mark.parametrize(
+        "beta", [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()]
+    )
+    def test_bit_equal_to_uncached_formula(self, beta, truncated):
+        params = ModelParams(c=0.7, beta=beta)
+        for w in (Window.symmetric(5), Window(-3, 16), Window(40, 7)):
+            for L, M in ((0.3, -0.2), (-2.5, 4.0), (45.0, 41.0)):
+                n = w.sites().astype(float)
+                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
+                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
+                lam_ref = bn * np.exp(-params.c * (n - L))
+                mu_ref = bnm1 * np.exp(params.c * (n - M))
+                if truncated:
+                    lam_ref[-1] = 0.0
+                    mu_ref[0] = 0.0
+                lam, mu = rate_arrays(params, L, M, w, truncated=truncated)
+                assert np.array_equal(lam, lam_ref) and np.array_equal(mu, mu_ref)
+
+    def test_overflow_detected_at_either_end(self):
+        w = Window.symmetric(10)
+        with pytest.raises(RateOverflow):
+            rate_arrays(ModelParams(), 695.0, 0.0, w)  # -c(n_min - L) = 705
+        with pytest.raises(RateOverflow):
+            rate_arrays(ModelParams(), 0.0, -695.0, w)  # c(n_max - M) = 705
+        rate_arrays(ModelParams(), 685.0, -685.0, w)
+
+
+class TestBetaArray:
+    PROFILES = [
+        ConstantBeta(1),
+        ConstantBeta(1.0),
+        ConstantBeta(2.5),
+        TableBeta((0.5, 2.0, 1.5), n_min=-1, left=3.0),
+        LinearDriftBeta(slope=2.0, c=0.5),
+    ]
+
+    def test_read_only_float(self):
+        beta_array.cache_clear()
+        for prof in self.PROFILES:
+            arr = beta_array(prof, -4, 4)
+            assert arr.dtype == np.float64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
+    @pytest.mark.parametrize("prof", PROFILES)
+    def test_equals_uncached_loop(self, prof):
+        for lo, hi in ((-6, 6), (-1, 3), (2, 2)):
+            ref = np.array([eval_beta(prof, n) for n in range(lo, hi + 1)], dtype=float)
+            assert np.array_equal(beta_array(prof, lo, hi), ref)
+            assert beta_array(prof, lo, hi) is beta_array(prof, lo, hi)
