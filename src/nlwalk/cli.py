@@ -36,7 +36,7 @@ from .errors import (
     WindowTooNarrow,
 )
 from .lattice import LatticeMeasure, Window, total_variation, write_measure_csv
-from .lyapunov import annotate, monitor
+from .lyapunov import W_increases, annotate, monitor
 from .model import ConstantBeta, LinearDriftBeta, ModelParams, TableBeta
 from .particles import run_particles
 
@@ -162,13 +162,13 @@ class RunConfig:
                 p0 = LatticeMeasure.normalized(self.window, vals)
             else:
                 raise ConfigError(f"unknown initial measure spec {spec!r}")
+            return SystemState(
+                p=p0,
+                L=self.getfloat("initial", "l0", 1.3),
+                M=self.getfloat("initial", "m0", -0.4),
+            )
         except (ValueError, IndexError, WindowTooNarrow) as e:
             raise ConfigError(f"invalid initial section: {e}") from e
-        return SystemState(
-            p=p0,
-            L=self.getfloat("initial", "l0", 1.3),
-            M=self.getfloat("initial", "m0", -0.4),
-        )
 
     def integrator(self) -> IntegratorConfig:
         try:
@@ -434,25 +434,17 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     src = Path(cfg.require("diagnose", "input"))
     if not src.exists():
         raise ConfigError(f"trajectory file not found: {src}")
-    rows = list(csv.DictReader(src.open()))
+    with src.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ConfigError(f"empty trajectory file: {src}")
-    slack = 1e-9
-    violations = 0
-    max_violation = 0.0
-    series = []
-    prev_W = None
-    for r in rows:
-        try:
-            t, Q, H, W = (float(r[k]) for k in ("t", "Q", "H", "W"))
-            K, s = float(r["K"]), float(r["s"])
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"bad trajectory row in {src}: {e}") from e
-        series.append({"t": t, "Q": Q, "H": H, "W": W, "K": K, "s": s})
-        if prev_W is not None and W - prev_W > slack:
-            violations += 1
-            max_violation = max(max_violation, W - prev_W)
-        prev_W = W
+    try:
+        series = [
+            {k: float(r[k]) for k in ("t", "Q", "H", "W", "K", "s")} for r in rows
+        ]
+    except (KeyError, ValueError) as e:
+        raise ConfigError(f"bad trajectory row in {src}: {e}") from e
+    violations, max_violation = W_increases([r["W"] for r in series])
     verdict = "monotone" if violations == 0 else "violations"
     _write_json(
         out / "diagnose.json",

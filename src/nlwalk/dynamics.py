@@ -14,6 +14,13 @@ Three integrators are provided:
 The explicit methods are limited by the stiffness of the truncated
 generator (diagonal entries grow like exp(c|n|)), so the splitting method
 is the one that can run wide windows; it is second order in the step.
+
+All rates come from model.rate_arrays.  The splitting method uses the
+rates at L = M = 0, since lambda(L) = lambda(0) e^{cL} and
+mu(M) = mu(0) e^{-cM}; that table must stay within exp(EXP_LIMIT), so a
+window with c * max|n| > EXP_LIMIT raises RateOverflow before the first
+step.  Each method advances (p, L, M) over one sample interval, and one
+loop records the samples.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .lattice import LatticeMeasure, Window, mean_position
-from .model import ModelParams, beta_array, rate_arrays
+from .model import EXP_LIMIT, ModelParams, rate_arrays
 
 MASS_TOL = 1e-9
 NEG_TOL = 1e-9
@@ -138,12 +145,8 @@ def rhs_sd(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, 
         )
     c = params.c
     s, d = state.s, state.d
-    n = state.window.sites().astype(float)
-    w = state.window
-    a = beta_array(params.beta, w.n_min, w.n_max) * np.exp(c * (s - n))
-    b = beta_array(params.beta, w.n_min - 1, w.n_max - 1) * np.exp(c * (n - s))
-    a[-1] = 0.0  # window truncation, as in rhs
-    b[0] = 0.0
+    # the rates at L = M = s are the s-only generator's a and b
+    a, b = rate_arrays(params, s, s, state.window)
     ecd = math.exp(c * d)
     p = state.p.values
     dp = -ecd * (a + b) * p
@@ -165,27 +168,14 @@ def conserved_K(state: SystemState) -> float:
 # splitting integrator pieces
 
 
-class _Workspace:
-    """Per-run constants of the splitting stepper: site coordinates and the
-    L/M-independent rate factors bn*e^{-cn} (right edge zeroed) and
-    b(n-1)*e^{cn} (left edge zeroed)."""
-
-    def __init__(self, params, window):
-        c = params.c
-        self.n = window.sites().astype(float)
-        bn = beta_array(params.beta, window.n_min, window.n_max)
-        bnm1 = beta_array(params.beta, window.n_min - 1, window.n_max - 1)
-        self.a_vec = bn * np.exp(-c * self.n)
-        self.a_vec[-1] = 0.0
-        self.b_vec = bnm1 * np.exp(c * self.n)
-        self.b_vec[0] = 0.0
-
-
-def _zflow(params, ws, p, L, M, h):
-    """Exact (L, M) flow over time h with the measure frozen."""
+def _zflow(params, a_vec, b_vec, p, L, M, h):
+    """Exact (L, M) flow over time h with the measure frozen; a_vec and
+    b_vec are the rates at L = M = 0."""
     c = params.c
-    A = float(np.dot(p, ws.a_vec))
-    B = float(np.dot(p, ws.b_vec))
+    if max(abs(c * L), abs(c * M)) > EXP_LIMIT:
+        raise RateOverflow(f"barrier exponent out of range (L={L}, M={M}, c={c})")
+    A = float(np.dot(p, a_vec))
+    B = float(np.dot(p, b_vec))
     # u = e^{-cL}: u' = c(A - C_lambda u); v = e^{cM}: v' = c(B - C_mu v)
     u = math.exp(-c * L)
     v = math.exp(c * M)
@@ -198,8 +188,9 @@ def _zflow(params, ws, p, L, M, h):
     return -math.log(u) / c, math.log(v) / c
 
 
-def _pflow(params, ws, p, L, M, h):
-    """Exact measure step over time h with (L, M) frozen.
+def _pflow(params, a_vec, b_vec, n, p, L, M, h):
+    """Exact measure step over time h with (L, M) frozen; a_vec and b_vec
+    are the rates at L = M = 0 on the sites n.
 
     The truncated generator is reversible with respect to the discrete
     Gaussian centered at s = (L+M)/2; conjugating by its square root
@@ -208,14 +199,14 @@ def _pflow(params, ws, p, L, M, h):
     bounded even when the diagonal is huge at the window edges.
     """
     c = params.c
-    lam = ws.a_vec * math.exp(c * L)
-    mu = ws.b_vec * math.exp(-c * M)
+    lam = a_vec * math.exp(c * L)
+    mu = b_vec * math.exp(-c * M)
     if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
         raise RateOverflow("jump rates overflowed on the window")
     diag = -(lam + mu)
     off = np.sqrt(lam[:-1] * mu[1:])
     s_bar = 0.5 * (L + M)
-    expo = 0.5 * c * (ws.n - s_bar) ** 2
+    expo = 0.5 * c * (n - s_bar) ** 2
     # q = p / sqrt(pi): guard the conjugation against overflow; sites with
     # a huge weight must carry (essentially) no mass.
     big = expo > 700.0
@@ -231,10 +222,10 @@ def _pflow(params, ws, p, L, M, h):
     return out
 
 
-def _strang_step(params, ws, p, L, M, h):
-    L, M = _zflow(params, ws, p, L, M, 0.5 * h)
-    p = _pflow(params, ws, p, L, M, h)
-    L, M = _zflow(params, ws, p, L, M, 0.5 * h)
+def _strang_step(params, a_vec, b_vec, n, p, L, M, h):
+    L, M = _zflow(params, a_vec, b_vec, p, L, M, 0.5 * h)
+    p = _pflow(params, a_vec, b_vec, n, p, L, M, h)
+    L, M = _zflow(params, a_vec, b_vec, p, L, M, 0.5 * h)
     return p, L, M
 
 
@@ -248,10 +239,14 @@ def _rhs_flat(params, window, y):
     return np.concatenate([dp, [dL, dM]])
 
 
-def _rk4_advance(params, window, y, t_span, dt):
-    t0, t1 = t_span
+def _substeps(t0, t1, dt):
+    """(n, h): the fewest equal steps of length h <= dt that span [t0, t1]."""
     n_steps = max(1, int(math.ceil((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
+    return n_steps, (t1 - t0) / n_steps
+
+
+def _rk4_advance(params, window, y, t_span, config):
+    n_steps, h = _substeps(*t_span, config.dt_init)
     for _ in range(n_steps):
         k1 = _rhs_flat(params, window, y)
         k2 = _rhs_flat(params, window, y + 0.5 * h * k1)
@@ -259,6 +254,23 @@ def _rk4_advance(params, window, y, t_span, dt):
         k4 = _rhs_flat(params, window, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+def _rk45_advance(params, window, y, t_span, config):
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
+        lambda t, yy: _rhs_flat(params, window, yy),
+        t_span,
+        y,
+        method="RK45",
+        rtol=config.rel_tol,
+        atol=config.abs_tol,
+        first_step=min(config.dt_init, t_span[1] - t_span[0]),
+    )
+    if not sol.success:
+        raise StepSizeUnderflow(f"adaptive step failed: {sol.message}")
+    return sol.y[:, -1]
 
 
 def _check_explicit_stability(params, state, dt):
@@ -335,42 +347,30 @@ def integrate(
         return log
     L, M = state0.L, state0.M
 
+    # advance(p, L, M, t_lo, t_hi) -> (p, L, M) one sample interval later
     if config.method == "splitting":
-        ws = _Workspace(params, window)
-        for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-            span = t_hi - t_lo
-            n_steps = max(1, int(math.ceil(span / config.dt_init)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                p, L, M = _strang_step(params, ws, p, L, M, h)
-            p = record(t_hi, p, L, M)
-    elif config.method == "rk4":
-        _check_explicit_stability(params, state0, config.dt_init)
-        y = np.concatenate([p, [L, M]])
-        for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-            y = _rk4_advance(params, window, y, (t_lo, t_hi), config.dt_init)
-            clipped = record(t_hi, y[: window.size], y[window.size], y[window.size + 1])
-            y[: window.size] = clipped
-    else:  # rk45
-        from scipy.integrate import solve_ivp
+        a_vec, b_vec = rate_arrays(params, 0.0, 0.0, window)
+        n = window.sites().astype(float)
 
+        def advance(p, L, M, t_lo, t_hi):
+            n_steps, h = _substeps(t_lo, t_hi, config.dt_init)
+            for _ in range(n_steps):
+                p, L, M = _strang_step(params, a_vec, b_vec, n, p, L, M, h)
+            return p, L, M
+
+    else:
         _check_explicit_stability(params, state0, config.dt_init)
-        y = np.concatenate([p, [L, M]])
-        for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-            sol = solve_ivp(
-                lambda t, yy: _rhs_flat(params, window, yy),
-                (t_lo, t_hi),
-                y,
-                method="RK45",
-                rtol=config.rel_tol,
-                atol=config.abs_tol,
-                first_step=min(config.dt_init, t_hi - t_lo),
-            )
-            if not sol.success:
-                raise StepSizeUnderflow(f"adaptive step failed: {sol.message}")
-            y = sol.y[:, -1]
-            clipped = record(t_hi, y[: window.size], y[window.size], y[window.size + 1])
-            y[: window.size] = clipped
+        advance_y = _rk4_advance if config.method == "rk4" else _rk45_advance
+        size = window.size
+
+        def advance(p, L, M, t_lo, t_hi):
+            y = np.concatenate([p, [L, M]])
+            y = advance_y(params, window, y, (t_lo, t_hi), config)
+            return y[:size], y[size], y[size + 1]
+
+    for t_lo, t_hi in zip(ts[:-1], ts[1:]):
+        p, L, M = advance(p, L, M, t_lo, t_hi)
+        p = record(t_hi, p, L, M)
     return log
 
 

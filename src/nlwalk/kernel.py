@@ -33,7 +33,7 @@ from .errors import (
     UniformizationOverflow,
 )
 from .lattice import LatticeMeasure, Window, log_plus_weights
-from .model import EXP_LIMIT, ModelParams, rate_arrays
+from .model import EXP_LIMIT, ModelParams, beta_array, rate_arrays
 
 UNIFORMIZATION_LIMIT = 700.0
 PMF_TAIL = 1e-15
@@ -379,7 +379,7 @@ def sample_paths(
     window = p0.window
     n_min, n_max = window.n_min, window.n_max
     c = params.c
-    betas = [params.beta.value(n) for n in range(n_min - 1, n_max + 1)]
+    betas = beta_array(params.beta, n_min - 1, n_max).tolist()
     intervals = [
         (t0, t1, _dominating_rates(betas, c, window, *path.envelope(t0, t1)))
         for t0, t1 in zip(ts[:-1].tolist(), ts[1:].tolist())

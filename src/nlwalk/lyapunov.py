@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dynamics import SystemState, TrajectoryLog
 from .errors import CNotOne
 from .lattice import LatticeMeasure, mean_position
-from .model import ModelParams, beta_array, check_beta_bounded, largest_contraction_constant
+from .model import (
+    ModelParams,
+    beta_array,
+    check_beta_bounded,
+    largest_contraction_constant,
+    rate_arrays,
+)
 
 # below this, p_n is treated as exactly zero in the entropy (floating
 # point underflows where the exact solution stays positive)
@@ -48,18 +54,13 @@ class MonitorReport:
 
 
 def Q_value(params: ModelParams, state: SystemState) -> float:
-    """Q = sum p_n (beta(n) e^{c(s-n)} + beta(n-1) e^{c(n-s)}).
+    """Q = sum p_n (beta(n) e^{c(s-n)} + beta(n-1) e^{c(n-s)}), the
+    untruncated rates summed at L = M = s.
 
     Equals e^{-c d} * sum p_n (lambda_n + mu_n); certified claims use c=1.
     """
-    c = params.c
-    w = state.window
-    n = w.sites().astype(float)
-    bn = beta_array(params.beta, w.n_min, w.n_max)
-    bnm1 = beta_array(params.beta, w.n_min - 1, w.n_max - 1)
-    s = state.s
-    terms = bn * np.exp(c * (s - n)) + bnm1 * np.exp(c * (n - s))
-    return float(np.dot(state.p.values, terms))
+    lam, mu = rate_arrays(params, state.s, state.s, state.window, truncated=False)
+    return float(np.dot(state.p.values, lam + mu))
 
 
 def entropy_H(p: LatticeMeasure, s: float, c: float) -> float:
@@ -95,6 +96,13 @@ def annotate(params: ModelParams, log: TrajectoryLog) -> TrajectoryLog:
     return log
 
 
+def W_increases(W: Sequence[float], slack: float = 1e-9) -> Tuple[int, float]:
+    """(count, largest) of the steps W[k+1] - W[k] above slack; the
+    largest is 0.0 when there are none."""
+    jumps = [b - a for a, b in zip(W[:-1], W[1:]) if b - a > slack]
+    return len(jumps), max(jumps, default=0.0)
+
+
 def monitor(log: TrajectoryLog, slack: float = 1e-9) -> MonitorReport:
     """Scan a trajectory for Lyapunov violations and boundedness.
 
@@ -110,13 +118,7 @@ def monitor(log: TrajectoryLog, slack: float = 1e-9) -> MonitorReport:
         LyapunovSample(t=s.t, Q=s.Q, H=s.H, W=s.W, K=s.K, s=s.state.s)
         for s in log.samples
     ]
-    violations = 0
-    max_violation = 0.0
-    for a, b in zip(series[:-1], series[1:]):
-        jump = b.W - a.W
-        if jump > slack:
-            violations += 1
-            max_violation = max(max_violation, jump)
+    violations, max_violation = W_increases([s.W for s in series], slack)
 
     window = log.window
     _, sup_beta = check_beta_bounded(params.beta, window)
@@ -130,11 +132,7 @@ def monitor(log: TrajectoryLog, slack: float = 1e-9) -> MonitorReport:
         q_bound = None
         q_bounded = bool(np.isfinite(q_vals).all())
 
-    inf_beta = min(
-        min(params.beta.value(int(n)) for n in window.sites()),
-        params.beta.value(window.n_min - 1),
-        params.beta.value(window.n_max + 1),
-    )
+    inf_beta = float(beta_array(params.beta, window.n_min - 1, window.n_max + 1).min())
     offsets = np.array(
         [abs(mean_position(s.state.p) - s.state.s) for s in log.samples]
     )

@@ -181,39 +181,28 @@ def rate_arrays(
 
 def check_beta_bounded(profile: BetaProfile, window: Window) -> Tuple[bool, float]:
     """Boundedness of beta: (holds, sup over window plus extensions)."""
-    sup = max(eval_beta(profile, n) for n in window.sites())
+    sup = float(beta_array(profile, window.n_min, window.n_max).max())
     if isinstance(profile, TableBeta):
         sup = max(sup, profile.left, profile.right)
     return math.isfinite(sup), sup
 
 
 def check_contraction(profile: BetaProfile, window: Window, C: float) -> bool:
-    """Strict contraction condition: inf beta > 0 and both one-step
-    differences beta(n+-1)/e - beta(n) < -C on the window."""
+    """Strict contraction condition: both one-step differences
+    beta(n+-1)/e - beta(n) < -C on the window (beta > 0 holds for every
+    profile)."""
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
-    inv_e = 1.0 / math.e
-    for n in window.sites():
-        b = eval_beta(profile, n)
-        if not b > 0:
-            return False
-        if inv_e * eval_beta(profile, n + 1) - b >= -C:
-            return False
-        if inv_e * eval_beta(profile, n - 1) - b >= -C:
-            return False
-    return True
+    return largest_contraction_constant(profile, window) > C
 
 
 def largest_contraction_constant(profile: BetaProfile, window: Window) -> float:
     """Largest C for which check_contraction holds on the window (may be <= 0,
     meaning the condition fails)."""
+    beta = beta_array(profile, window.n_min - 1, window.n_max + 1)
     inv_e = 1.0 / math.e
-    C = math.inf
-    for n in window.sites():
-        b = eval_beta(profile, n)
-        C = min(C, b - inv_e * eval_beta(profile, n + 1))
-        C = min(C, b - inv_e * eval_beta(profile, n - 1))
-    return C
+    b = beta[1:-1]
+    return float(min((b - inv_e * beta[2:]).min(), (b - inv_e * beta[:-2]).min()))
 
 
 def rate_boundedness(

@@ -1,8 +1,19 @@
+import csv
 import json
 import textwrap
 
 import pytest
 
+from nlwalk import (
+    IntegratorConfig,
+    LatticeMeasure,
+    ModelParams,
+    SystemState,
+    Window,
+    annotate,
+    integrate,
+    monitor,
+)
 from nlwalk.cli import main
 
 BASE = """
@@ -82,6 +93,46 @@ class TestSimulate:
         )
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "particles"])
+    @pytest.mark.parametrize("key", ["l0", "m0"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_barrier(self, tmp_path, capsys, command, key, value):
+        line = {"l0": "l0 = 1.3", "m0": "m0 = -0.4"}[key]
+        text = BASE.replace(line, f"{key} = {value}") + textwrap.dedent(
+            """
+            [particles]
+            n = 200
+            dt = 0.001
+            t_final = 0.5
+            """
+        )
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            {"m0 = -0.4": "m0 = 800"},
+            {"l0 = 1.3": "l0 = -800"},
+            {
+                "m = 12": "n_min = 710\nsize = 21",
+                "p = delta:0": "p = delta:720",
+                "l0 = 1.3": "l0 = 721.3",
+                "m0 = -0.4": "m0 = 719.6",
+            },
+        ],
+        ids=["m0-800", "l0-minus-800", "window-710"],
+    )
+    def test_barrier_exponent_overflow(self, tmp_path, capsys, replacements):
+        # e^{-cL}, e^{cM} or the window's rate factors leave exp's range
+        text = BASE
+        for old, new in replacements.items():
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "out of range" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -225,3 +276,50 @@ class TestOtherCommands:
         payload = json.loads((out / "diagnose.json").read_text())
         assert payload["W_violations"] == 0
         assert payload["verdict"] == "monotone"
+
+    def test_diagnose_counts_W_increases(self, tmp_path):
+        # raise W in two rows to 1e-6 and 1e-3 above the row before:
+        # diagnose and monitor must both count 2 and give the larger rise
+        cfg = write_config(tmp_path, BASE)
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+        traj = sim_out / "trajectory.csv"
+        with traj.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        W = [float(r["W"]) for r in rows]
+        for k, rise in ((3, 1e-6), (7, 1e-3)):
+            W[k] = W[k - 1] + rise
+            rows[k]["W"] = repr(W[k])
+        with traj.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        largest = W[7] - W[6]
+        assert largest == pytest.approx(1e-3, rel=1e-9)
+
+        diag_cfg = write_config(
+            tmp_path, f"[diagnose]\ninput = {traj}\n", name="diag.ini"
+        )
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--config", diag_cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "diagnose.json").read_text())
+        assert payload["W_violations"] == 2
+        assert payload["max_violation"] == largest
+        assert payload["verdict"] == "violations"
+
+        state0 = SystemState(
+            p=LatticeMeasure.delta(0, Window.symmetric(12)), L=1.3, M=-0.4
+        )
+        log = annotate(
+            ModelParams(),
+            integrate(
+                ModelParams(), state0, 1.0,
+                IntegratorConfig(method="splitting", dt_init=0.001, n_samples=11),
+            ),
+        )
+        assert len(log.samples) == len(W)
+        for smp, w in zip(log.samples, W):
+            smp.W = w
+        report = monitor(log)
+        assert report.violations == 2
+        assert report.max_violation == largest

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlwalk import (
+    ConstantBeta,
     IntegratorConfig,
     LatticeMeasure,
+    LinearDriftBeta,
     ModelParams,
     SystemState,
+    TableBeta,
     Window,
     conserved_K,
     explosion_monitor_ok,
@@ -20,8 +24,11 @@ from nlwalk import (
     rhs_sd,
     total_variation,
 )
-from nlwalk.errors import NotMeanReverting, StepSizeUnderflow
+from nlwalk.errors import NotMeanReverting, RateOverflow, StepSizeUnderflow
 from nlwalk.lyapunov import Q_value
+from nlwalk.model import eval_beta
+
+PROFILES = [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()]
 
 
 def random_state(seed, window=None):
@@ -94,6 +101,36 @@ class TestRhsSd:
     def test_requires_mean_reverting(self):
         with pytest.raises(NotMeanReverting):
             rhs_sd(ModelParams(C_mu=2.0), random_state(1))
+
+    @pytest.mark.parametrize("beta", PROFILES)
+    def test_bit_equal_to_inline_formula(self, beta):
+        # the (s, d) rates written out from beta and exp, as rhs_sd once
+        # computed them
+        for c in (1.0, 0.7, 1.3):
+            params = ModelParams(c=c, beta=beta)
+            for w in (Window.symmetric(25), Window.symmetric(5), Window(3, 20)):
+                r = np.random.default_rng(w.size)
+                n = w.sites().astype(float)
+                center = float(n.mean())
+                p = LatticeMeasure.normalized(w, r.random(w.size))
+                state = SystemState(p=p, L=center + 0.8, M=center - 1.7)
+                s, d = state.s, state.d
+                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
+                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
+                a = bn * np.exp(c * (s - n))
+                b = bnm1 * np.exp(c * (n - s))
+                a[-1] = 0.0
+                b[0] = 0.0
+                ecd = math.exp(c * d)
+                dp_ref = -ecd * (a + b) * p.values
+                dp_ref[1:] += ecd * a[:-1] * p.values[:-1]
+                dp_ref[:-1] += ecd * b[1:] * p.values[1:]
+                sum_a = float(np.dot(p.values, a))
+                sum_b = float(np.dot(p.values, b))
+                dp, ds, dd = rhs_sd(params, state)
+                assert np.array_equal(dp, dp_ref)
+                assert ds == -0.5 * ecd * (sum_a - sum_b)
+                assert dd == -0.5 * ecd * (sum_a + sum_b) + params.C_lambda
 
 
 class TestConservedK:
@@ -206,3 +243,58 @@ class TestIntegrate:
             IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=5),
         )
         assert explosion_monitor_ok(log)
+
+
+def _log_digest(log):
+    h = hashlib.sha256()
+    for smp in log.samples:
+        h.update(smp.state.p.values.tobytes())
+        h.update(
+            np.array(
+                [smp.t, smp.state.L, smp.state.M, smp.K, smp.mass, smp.min_p]
+            ).tobytes()
+        )
+    return h.hexdigest()
+
+
+class TestGoldenSamples:
+    """sha256 of every sample's p, t, L, M, K, mass and min_p, pinned so
+    that a refactor of the integrators cannot move a single bit."""
+
+    def test_splitting_readme(self, bench_params, bench_state0):
+        log = integrate(
+            bench_params, bench_state0, 1.0,
+            IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=21),
+        )
+        assert _log_digest(log) == "0fac91cfcb5048375a8b30f0ecf559c87db06773f0c45e02ca9515bc093d15cb"
+
+    @pytest.mark.parametrize(
+        "method, extra, digest",
+        [
+            ("rk4", {}, "b8052efc4f198636181df574ad542c62a3caac27d5346342bbd4e13baa2d6649"),
+            ("rk45", {"rel_tol": 1e-10, "abs_tol": 1e-13},
+             "5386a99ef87b43345377c63ecfd716e200696d25997a70f4a8e6155420b4f1a6"),
+        ],
+    )
+    def test_explicit_narrow_window(self, method, extra, digest):
+        state0 = SystemState(
+            p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0.3, M=-0.2
+        )
+        log = integrate(
+            ModelParams(), state0, 0.5,
+            IntegratorConfig(method=method, dt_init=1e-4, n_samples=6, **extra),
+        )
+        assert _log_digest(log) == digest
+
+
+class TestSplittingWindowLimit:
+    def test_rate_factor_overflow_at_start(self):
+        # the splitting factors are the rates at L = M = 0, which must stay
+        # within exp(EXP_LIMIT): here c * max|n| = 702
+        w = Window(690, 13)
+        state0 = SystemState(p=LatticeMeasure.delta(696, w), L=696.0, M=696.0)
+        with pytest.raises(RateOverflow, match="out of range on window"):
+            integrate(
+                ModelParams(), state0, 0.01,
+                IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=2),
+            )

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlwalk import (
+    ConstantBeta,
     IntegratorConfig,
     LatticeMeasure,
+    LinearDriftBeta,
     ModelParams,
     Q_value,
     SystemState,
+    TableBeta,
     W_value,
     Window,
     annotate,
@@ -24,7 +27,7 @@ from nlwalk import (
     total_variation,
 )
 from nlwalk.errors import CNotOne
-from nlwalk.model import rate_arrays
+from nlwalk.model import eval_beta, rate_arrays
 
 LN_XI = 0.5724683839469007  # ln partition_Xi(1, 0), frozen oracle
 
@@ -60,6 +63,26 @@ class TestQ:
         lam, mu = rate_arrays(params, state.L, state.M, w, truncated=False)
         direct = math.exp(-state.d) * float(np.dot(p.values, lam + mu))
         assert Q_value(params, state) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "beta",
+        [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()],
+    )
+    def test_bit_equal_to_inline_formula(self, beta):
+        # Q written out from beta and exp, as Q_value once computed it
+        for c in (1.0, 0.7, 1.3):
+            params = ModelParams(c=c, beta=beta)
+            for w in (Window.symmetric(25), Window.symmetric(5), Window(3, 20)):
+                r = np.random.default_rng(w.size)
+                n = w.sites().astype(float)
+                center = float(n.mean())
+                p = LatticeMeasure.normalized(w, r.random(w.size))
+                state = SystemState(p=p, L=center - 0.6, M=center + 1.1)
+                s = state.s
+                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
+                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
+                terms = bn * np.exp(c * (s - n)) + bnm1 * np.exp(c * (n - s))
+                assert Q_value(params, state) == float(np.dot(p.values, terms))
 
 
 class TestH:

@@ -126,6 +126,42 @@ class TestConditions:
         C = largest_contraction_constant(ConstantBeta(1.0), Window.symmetric(10))
         assert C == pytest.approx(1 - 1 / math.e, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            ConstantBeta(1.0),
+            TableBeta((0.5, 2.0, 1.5), n_min=-1, left=3.0),
+            TableBeta(tuple(math.exp(-abs(n)) + 2.0 for n in range(-5, 6)), n_min=-5),
+            LinearDriftBeta(slope=2.0, c=0.5),
+        ],
+    )
+    def test_window_scans_match_site_loops(self, prof):
+        # the scans as site-by-site loops over eval_beta, with the
+        # contraction verdict taken at, just above and just below the
+        # largest constant
+        inv_e = 1.0 / math.e
+        for w in (Window.symmetric(10), Window(-5, 11), Window(3, 20)):
+            sites = [int(n) for n in w.sites()]
+            sup = max(eval_beta(prof, n) for n in sites)
+            if isinstance(prof, TableBeta):
+                sup = max(sup, prof.left, prof.right)
+            assert check_beta_bounded(prof, w) == (True, sup)
+            C_ref = math.inf
+            for n in sites:
+                b = eval_beta(prof, n)
+                C_ref = min(C_ref, b - inv_e * eval_beta(prof, n + 1))
+                C_ref = min(C_ref, b - inv_e * eval_beta(prof, n - 1))
+            assert largest_contraction_constant(prof, w) == C_ref
+            for C in (C_ref, math.nextafter(C_ref, 0.0), math.nextafter(C_ref, 9.0), 0.05, 2.0):
+                if not C > 0:
+                    continue
+                verdict = all(
+                    inv_e * eval_beta(prof, n + 1) - eval_beta(prof, n) < -C
+                    and inv_e * eval_beta(prof, n - 1) - eval_beta(prof, n) < -C
+                    for n in sites
+                )
+                assert check_contraction(prof, w, C) == verdict
+
 
 class TestRateBoundedness:
     def test_sup_at_origin(self):
