@@ -287,6 +287,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "tv_final": None if math.isnan(tv_final) else tv_final,
             "W_violations": report.violations,
             "fixed_point_exists": cfg.params.mean_reverting,
+            "steps": log.steps,
+            "rejected_steps": log.rejected_steps,
         },
         cfg,
     )

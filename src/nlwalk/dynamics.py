@@ -4,16 +4,20 @@ Three integrators are provided:
 
 * "rk4"       -- fixed-step classical Runge-Kutta on the full state;
 * "rk45"      -- adaptive embedded Runge-Kutta (scipy) with PI step control;
-* "splitting" -- Strang splitting: the (L, M) half-steps use the exact
+* "splitting" -- adaptive, Richardson-extrapolated Strang splitting.  A
+                 Strang step S_h runs the (L, M) half-steps on the exact
                  flow with the measure frozen (a scalar linear ODE in
-                 exp(-cL) resp. exp(cM)), and the measure step uses the
+                 exp(-cL) resp. exp(cM)), and the measure step on the
                  exact propagator of the frozen birth-death generator via
                  the symmetric-tridiagonal eigendecomposition of its
-                 detailed-balance symmetrization.
+                 detailed-balance symmetrization.  S_h is symmetric, so
+                 its error has odd powers of h only, and
+                 (4 S_{h/2}^2 - S_h) / 3 is of order 4; S_{h/2}^2 - S_h
+                 estimates the error that sets the next step.
 
 The explicit methods are limited by the stiffness of the truncated
 generator (diagonal entries grow like exp(c|n|)), so the splitting method
-is the one that can run wide windows; it is second order in the step.
+is the one that can run wide windows.
 
 All rates come from model.rate_arrays.  The splitting method uses the
 rates at L = M = 0, since lambda(L) = lambda(0) e^{cL} and
@@ -78,7 +82,11 @@ class SystemState:
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "splitting"  # splitting | rk4 | rk45
+    # rk4: the fixed step; splitting and rk45: the first trial step
     dt_init: float = 1e-3
+    # adaptive methods.  splitting accepts a step when its error estimate
+    # is within abs_tol + rel_tol * |p|_1 in |delta p|_1, and within rel_tol
+    # in c*|delta L| and c*|delta M| (the relative error of e^{cL}, e^{-cM})
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     t_samples: Optional[Sequence[float]] = None
@@ -108,6 +116,8 @@ class TrajectorySample:
 class TrajectoryLog:
     params: ModelParams
     samples: List[TrajectorySample] = field(default_factory=list)
+    steps: int = 0  # accepted steps
+    rejected_steps: int = 0
 
     @property
     def times(self) -> np.ndarray:
@@ -176,13 +186,13 @@ def _zflow(params, a_vec, b_vec, p, L, M, h):
         raise RateOverflow(f"barrier exponent out of range (L={L}, M={M}, c={c})")
     A = float(np.dot(p, a_vec))
     B = float(np.dot(p, b_vec))
-    # u = e^{-cL}: u' = c(A - C_lambda u); v = e^{cM}: v' = c(B - C_mu v)
-    u = math.exp(-c * L)
-    v = math.exp(c * M)
-    eL = math.exp(-c * params.C_lambda * h)
-    eM = math.exp(-c * params.C_mu * h)
-    u = A / params.C_lambda + (u - A / params.C_lambda) * eL
-    v = B / params.C_mu + (v - B / params.C_mu) * eM
+    # u = e^{-cL}: u' = c(A - C_lambda u); v = e^{cM}: v' = c(B - C_mu v).
+    # Both terms of each update are positive, so no digits cancel when
+    # A / C_lambda or B / C_mu is much larger than u or v.
+    xL = c * params.C_lambda * h
+    xM = c * params.C_mu * h
+    u = math.exp(-c * L) * math.exp(-xL) - A / params.C_lambda * math.expm1(-xL)
+    v = math.exp(c * M) * math.exp(-xM) - B / params.C_mu * math.expm1(-xM)
     if not (u > 0 and v > 0):
         raise RateOverflow("(L, M) flow left the representable range")
     return -math.log(u) / c, math.log(v) / c
@@ -229,6 +239,55 @@ def _strang_step(params, a_vec, b_vec, n, p, L, M, h):
     return p, L, M
 
 
+def _extrapolated_step(params, a_vec, b_vec, n, p, L, M, h, config):
+    """(p, L, M, err): (4 S_{h/2}^2 - S_h) / 3 applied to (p, L, M), and
+    the error of the Strang step scaled by the tolerances (accept when
+    err <= 1; nan when a norm is not finite).  The weights sum to 1, so
+    the extrapolation keeps the mass."""
+    p1, L1, M1 = _strang_step(params, a_vec, b_vec, n, p, L, M, h)
+    p2, L2, M2 = _strang_step(params, a_vec, b_vec, n, p, L, M, 0.5 * h)
+    p2, L2, M2 = _strang_step(params, a_vec, b_vec, n, p2, L2, M2, 0.5 * h)
+    err_p = float(np.abs(p2 - p1).sum()) / (
+        config.abs_tol + config.rel_tol * float(np.abs(p).sum())
+    )
+    err_z = params.c * max(abs(L2 - L1), abs(M2 - M1)) / config.rel_tol
+    err = max(err_p, err_z) / 3.0 if math.isfinite(err_p + err_z) else math.nan
+    return (4.0 * p2 - p1) / 3.0, (4.0 * L2 - L1) / 3.0, (4.0 * M2 - M1) / 3.0, err
+
+
+def _splitting_advance(params, a_vec, b_vec, n, p, L, M, t_span, h, config):
+    """Extrapolated Strang steps across one sample interval, starting with
+    trial step h: (p, L, M, next trial step, accepted, rejected).
+
+    No step crosses t_span[1]; a step cut short to land on it leaves the
+    trial step for the next interval as it was, unless the error asks for
+    a longer one."""
+    t, t_hi = t_span
+    h_min = 1e-12 * (t_hi - t)
+    accepted = rejected = 0
+    while t < t_hi:
+        if h < h_min:
+            raise StepSizeUnderflow(f"step {h:g} below {h_min:g} at t={t:g}")
+        last = t + h >= t_hi - h_min
+        step = t_hi - t if last else h
+        p_new, L_new, M_new, err = _extrapolated_step(
+            params, a_vec, b_vec, n, p, L, M, step, config
+        )
+        if not math.isfinite(err):
+            raise StepSizeUnderflow(f"non-finite error estimate at t={t:g}")
+        grow = min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0 else 5.0
+        h_next = step * grow
+        if err <= 1.0:
+            p, L, M = p_new, L_new, M_new
+            t = t_hi if last else t + step
+            h = max(h, h_next) if step < h else h_next
+            accepted += 1
+        else:
+            h = h_next
+            rejected += 1
+    return p, L, M, h, accepted, rejected
+
+
 # ---------------------------------------------------------------------------
 # explicit steppers
 
@@ -253,7 +312,7 @@ def _rk4_advance(params, window, y, t_span, config):
         k3 = _rhs_flat(params, window, y + 0.5 * h * k2)
         k4 = _rhs_flat(params, window, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+    return y, n_steps, 0
 
 
 def _rk45_advance(params, window, y, t_span, config):
@@ -270,7 +329,10 @@ def _rk45_advance(params, window, y, t_span, config):
     )
     if not sol.success:
         raise StepSizeUnderflow(f"adaptive step failed: {sol.message}")
-    return sol.y[:, -1]
+    accepted = len(sol.t) - 1
+    # RK45 evaluates the right-hand side once at the start and six times
+    # per attempted step
+    return sol.y[:, -1], accepted, max(0, (sol.nfev - 1) // 6 - accepted)
 
 
 def _check_explicit_stability(params, state, dt):
@@ -347,29 +409,34 @@ def integrate(
         return log
     L, M = state0.L, state0.M
 
-    # advance(p, L, M, t_lo, t_hi) -> (p, L, M) one sample interval later
+    # advance(p, L, M, t_span) -> (p, L, M, accepted, rejected): one
+    # sample interval later, with the steps it took
     if config.method == "splitting":
         a_vec, b_vec = rate_arrays(params, 0.0, 0.0, window)
         n = window.sites().astype(float)
+        h = config.dt_init
 
-        def advance(p, L, M, t_lo, t_hi):
-            n_steps, h = _substeps(t_lo, t_hi, config.dt_init)
-            for _ in range(n_steps):
-                p, L, M = _strang_step(params, a_vec, b_vec, n, p, L, M, h)
-            return p, L, M
+        def advance(p, L, M, t_span):
+            nonlocal h
+            p, L, M, h, accepted, rejected = _splitting_advance(
+                params, a_vec, b_vec, n, p, L, M, t_span, h, config
+            )
+            return p, L, M, accepted, rejected
 
     else:
         _check_explicit_stability(params, state0, config.dt_init)
         advance_y = _rk4_advance if config.method == "rk4" else _rk45_advance
         size = window.size
 
-        def advance(p, L, M, t_lo, t_hi):
+        def advance(p, L, M, t_span):
             y = np.concatenate([p, [L, M]])
-            y = advance_y(params, window, y, (t_lo, t_hi), config)
-            return y[:size], y[size], y[size + 1]
+            y, accepted, rejected = advance_y(params, window, y, t_span, config)
+            return y[:size], y[size], y[size + 1], accepted, rejected
 
     for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-        p, L, M = advance(p, L, M, t_lo, t_hi)
+        p, L, M, accepted, rejected = advance(p, L, M, (t_lo, t_hi))
+        log.steps += accepted
+        log.rejected_steps += rejected
         p = record(t_hi, p, L, M)
     return log
 

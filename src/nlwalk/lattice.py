@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import NormOverflow
+from .errors import NormOverflow, NumericalError
 
 PROB_TOL = 1e-10
 LOG_EXP_MAX = 709.0  # exp overflows above this
@@ -152,8 +152,9 @@ def norm_minus(f: LatticeFunction, alpha: float) -> float:
 def pairing(m: LatticeMeasure, f: LatticeFunction, alpha: float | None = None) -> float:
     """Duality pairing <m, f> = sum m_n f_n over the window overlap.
 
-    With alpha given, asserts |<m,f>| <= norm_plus(m) * norm_minus(f) as a
-    diagnostic.
+    With alpha given, checks |<m,f>| <= norm_plus(m) * norm_minus(f) and
+    raises NumericalError when floating point cannot confirm it (say, a
+    weight underflowed).
     """
     lo = max(m.window.n_min, f.window.n_min)
     hi = min(m.window.n_max, f.window.n_max)
@@ -164,9 +165,8 @@ def pairing(m: LatticeMeasure, f: LatticeFunction, alpha: float | None = None) -
     value = float(np.dot(mv, fv))
     if alpha is not None:
         bound = norm_plus(m, alpha) * norm_minus(f, alpha)
-        assert abs(value) <= bound * (1.0 + 1e-12) + 1e-300, (
-            f"duality bound violated: |{value}| > {bound}"
-        )
+        if not abs(value) <= bound * (1.0 + 1e-12) + 1e-300:
+            raise NumericalError(f"duality bound violated: |{value}| > {bound}")
     return value
 
 

@@ -97,10 +97,12 @@ def annotate(params: ModelParams, log: TrajectoryLog) -> TrajectoryLog:
 
 
 def W_increases(W: Sequence[float], slack: float = 1e-9) -> Tuple[int, float]:
-    """(count, largest) of the steps W[k+1] - W[k] above slack; the
-    largest is 0.0 when there are none."""
-    jumps = [b - a for a, b in zip(W[:-1], W[1:]) if b - a > slack]
-    return len(jumps), max(jumps, default=0.0)
+    """(count, largest) of the steps W[k+1] - W[k] that rise above slack
+    or touch a non-finite W; the largest is over the finite rises, 0.0
+    when there are none."""
+    steps = [b - a for a, b in zip(W[:-1], W[1:])]
+    bad = [x for x in steps if not (math.isfinite(x) and x <= slack)]
+    return len(bad), max((x for x in bad if math.isfinite(x)), default=0.0)
 
 
 def monitor(log: TrajectoryLog, slack: float = 1e-9) -> MonitorReport:

@@ -36,9 +36,10 @@ def bench_state0(bench_window):
 
 @pytest.fixture(scope="session")
 def bench_log_T20(bench_params, bench_state0):
-    """T=20 benchmark trajectory at the production step size, with the
-    Lyapunov columns filled; shared by the conservation, convergence and
-    Lyapunov acceptance checks."""
+    """T=20 benchmark trajectory at the default tolerances (the splitting
+    method's steps adapt; dt_init is only its first trial step), with the
+    Lyapunov columns filled; shared by the conservation, Lyapunov, kernel,
+    particle and operator-bound acceptance checks."""
     log = integrate(
         bench_params,
         bench_state0,

@@ -84,15 +84,18 @@ def test_criterion_03_K_conservation(bench_params, bench_state0, bench_log_T20):
         K0 = bench_log_T20.samples[0].K
         drift = max(abs(s.K - K0) for s in bench_log_T20.samples)
         assert drift < 1e-7
-        # step-refinement check (order 2): halving dt must reduce the
-        # drift by at least the integrator's order
+        # refinement check: tightening the tolerances 100-fold must reduce
+        # the drift at least 2-fold
         drifts = []
-        for dt in (1e-3, 5e-4):
+        for rel_tol, abs_tol in ((1e-8, 1e-12), (1e-10, 1e-14)):
             log = integrate(
                 bench_params,
                 bench_state0,
                 2.0,
-                IntegratorConfig(method="splitting", dt_init=dt, n_samples=11),
+                IntegratorConfig(
+                    method="splitting", dt_init=1e-3, rel_tol=rel_tol,
+                    abs_tol=abs_tol, n_samples=11,
+                ),
             )
             k0 = log.samples[0].K
             drifts.append(max(abs(s.K - k0) for s in log.samples))

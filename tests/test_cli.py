@@ -70,6 +70,23 @@ class TestSimulate:
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_summary_reports_steps(self, tmp_path):
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        state0 = SystemState(
+            p=LatticeMeasure.delta(0, Window.symmetric(12)), L=1.3, M=-0.4
+        )
+        log = integrate(
+            ModelParams(), state0, 1.0,
+            IntegratorConfig(method="splitting", dt_init=0.001, n_samples=11),
+        )
+        assert log.steps > 0
+        assert (summary["steps"], summary["rejected_steps"]) == (
+            log.steps, log.rejected_steps
+        )
+
     def test_invalid_config_negative_c(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("c = 1.0", "c = -1.0"))
         assert main(["simulate", "--config", cfg]) == 2
@@ -323,3 +340,24 @@ class TestOtherCommands:
         report = monitor(log)
         assert report.violations == 2
         assert report.max_violation == largest
+
+    def test_diagnose_rejects_nan_W(self, tmp_path):
+        cfg = write_config(tmp_path, BASE)
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+        traj = sim_out / "trajectory.csv"
+        with traj.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[4]["W"] = "nan"
+        with traj.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        diag_cfg = write_config(
+            tmp_path, f"[diagnose]\ninput = {traj}\n", name="diag.ini"
+        )
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--config", diag_cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "diagnose.json").read_text())
+        assert payload["W_violations"] >= 1
+        assert payload["verdict"] == "violations"

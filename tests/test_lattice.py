@@ -1,11 +1,17 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlwalk
 from nlwalk import (
     LatticeFunction,
     LatticeMeasure,
@@ -17,6 +23,7 @@ from nlwalk import (
     total_variation,
 )
 from nlwalk.equilibrium import discrete_gaussian
+from nlwalk.errors import NumericalError
 from nlwalk.lattice import (
     measure_from_json,
     measure_to_json,
@@ -127,6 +134,41 @@ class TestPairing:
         assert abs(pairing(m, f, alpha)) <= norm_plus(m, alpha) * norm_minus(
             f, alpha
         ) * (1 + 1e-12)
+
+    def test_unconfirmable_bound_raises(self):
+        # exp(-40^2/2) underflows, so norm_minus(f) = 0 < |<m, f>|
+        w = Window(40, 3)
+        m = _signed(w, np.array([1e-250, 0.0, 0.0]))
+        f = LatticeFunction(w, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(NumericalError, match="duality bound"):
+            pairing(m, f, 0.0)
+
+    def test_bound_check_survives_optimize_flag(self):
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from nlwalk import LatticeFunction, LatticeMeasure, Window, pairing
+            from nlwalk.errors import NumericalError
+
+            w = Window(40, 3)
+            m = LatticeMeasure(w, np.array([1e-250, 0.0, 0.0]), is_probability=False)
+            f = LatticeFunction(w, np.array([1.0, 0.0, 0.0]))
+            try:
+                pairing(m, f, 0.0)
+            except NumericalError:
+                raise SystemExit(0)
+            raise SystemExit(1)
+            """
+        )
+        src = str(Path(nlwalk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMeanAndTV:

@@ -27,6 +27,7 @@ from nlwalk import (
     total_variation,
 )
 from nlwalk.errors import CNotOne
+from nlwalk.lyapunov import W_increases
 from nlwalk.model import eval_beta, rate_arrays
 
 LN_XI = 0.5724683839469007  # ln partition_Xi(1, 0), frozen oracle
@@ -174,3 +175,11 @@ class TestMonitor:
         for s, w in zip(bad.samples, ws):
             s.W = w
         assert monitor(bad).violations > 0
+
+    def test_non_finite_W_is_a_violation(self, short_log):
+        assert W_increases([1.0, math.nan, 0.5]) == (2, 0.0)
+        assert W_increases([1.0, -math.inf]) == (1, 0.0)
+        assert W_increases([3.0, math.inf, math.inf, 2.0, 2.5]) == (4, 0.5)
+        bad = copy.deepcopy(short_log)
+        bad.samples[5].W = math.nan
+        assert monitor(bad).violations >= 1
