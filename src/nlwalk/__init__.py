@@ -2,11 +2,11 @@
 with mean-field barrier coupling.
 
 Core pieces: rate profiles and model parameters (`model`), windowed
-measures and weighted norms (`lattice`), the coupled measure/(L, M)
-dynamics (`dynamics`), discrete-Gaussian fixed points (`equilibrium`),
-Lyapunov/boundedness monitors (`lyapunov`), frozen-path transition kernels
-and path sampling (`kernel`), interacting-particle approximation
-(`particles`), and a reproducible CLI (`cli`).
+measures (`lattice`), the coupled measure/(L, M) dynamics (`dynamics`),
+discrete-Gaussian fixed points (`equilibrium`), Lyapunov/boundedness
+monitors (`lyapunov`), frozen-path transition kernels and path sampling
+(`kernel`), interacting-particle approximation (`particles`), and a
+reproducible CLI (`cli`).
 """
 
 from .dynamics import (
@@ -15,10 +15,8 @@ from .dynamics import (
     TrajectoryLog,
     TrajectorySample,
     conserved_K,
-    explosion_monitor_ok,
     integrate,
     rhs,
-    rhs_sd,
 )
 from .equilibrium import (
     FixedPoint,
@@ -34,7 +32,6 @@ from .errors import (
     ModelConditionError,
     NlwalkError,
     NoFixedPoint,
-    NotMeanReverting,
     NumericalError,
 )
 from .kernel import (
@@ -50,17 +47,12 @@ from .kernel import (
     v_norm_bound,
 )
 from .lattice import (
-    LatticeFunction,
     LatticeMeasure,
     Window,
     mean_position,
-    norm_minus,
-    norm_plus,
-    pairing,
     total_variation,
 )
 from .lyapunov import (
-    LyapunovSample,
     MonitorReport,
     Q_value,
     W_value,
@@ -75,9 +67,6 @@ from .model import (
     ModelParams,
     TableBeta,
     check_beta_bounded,
-    check_contraction,
-    jump_rates,
-    rate_boundedness,
     rate_arrays,
 )
 from .particles import Ensemble, ParticleLog, run_particles

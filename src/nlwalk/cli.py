@@ -26,7 +26,7 @@ from .dynamics import (
     TrajectoryLog,
     integrate,
 )
-from .equilibrium import discrete_gaussian, fixed_point, solve_s_from_K
+from .equilibrium import K_of_s, discrete_gaussian, fixed_point, solve_s_from_K
 from .errors import (
     ConfigError,
     InvalidProfile,
@@ -301,8 +301,6 @@ def cmd_fixed_point(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     s = cfg.require("solve", "s", float)
     fp = fixed_point(cfg.params, s, cfg.window)
-    from .equilibrium import K_of_s
-
     payload = {
         "s": fp.s, "d": fp.d, "L_s": fp.L_s, "M_s": fp.M_s,
         "Xi": fp.Xi, "K": K_of_s(cfg.params, s),

@@ -1,9 +1,9 @@
 """Integration of the coupled measure/(L, M) system on a finite window.
 
-Three integrators are provided:
+Two integrators are provided:
 
-* "rk4"       -- fixed-step classical Runge-Kutta on the full state;
-* "rk45"      -- adaptive embedded Runge-Kutta (scipy) with PI step control;
+* "rk4"       -- fixed-step classical Runge-Kutta on the full state, the
+                 reference on narrow windows;
 * "splitting" -- adaptive, Richardson-extrapolated Strang splitting.  A
                  Strang step S_h runs the (L, M) half-steps on the exact
                  flow with the measure frozen (a scalar linear ODE in
@@ -15,7 +15,7 @@ Three integrators are provided:
                  (4 S_{h/2}^2 - S_h) / 3 is of order 4; S_{h/2}^2 - S_h
                  estimates the error that sets the next step.
 
-The explicit methods are limited by the stiffness of the truncated
+The explicit method is limited by the stiffness of the truncated
 generator (diagonal entries grow like exp(c|n|)), so the splitting method
 is the one that can run wide windows.
 
@@ -37,18 +37,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import (
-    NotMeanReverting,
-    PositivityLost,
-    RateOverflow,
-    StepSizeUnderflow,
-)
+from .errors import PositivityLost, RateOverflow, StepSizeUnderflow
 from .lattice import LatticeMeasure, Window, mean_position
 from .model import EXP_LIMIT, ModelParams, rate_arrays
 
 MASS_TOL = 1e-9
 NEG_TOL = 1e-9
 BOUNDARY_WARN = 1e-8
+# relative slack of the rk4 step count against round-off in (t1 - t0) / dt
+SUBSTEP_ROUNDOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,19 +78,19 @@ class SystemState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "splitting"  # splitting | rk4 | rk45
-    # rk4: the fixed step; splitting and rk45: the first trial step
+    method: str = "splitting"  # splitting | rk4
+    # rk4: the fixed step; splitting: the first trial step
     dt_init: float = 1e-3
-    # adaptive methods.  splitting accepts a step when its error estimate
-    # is within abs_tol + rel_tol * |p|_1 in |delta p|_1, and within rel_tol
-    # in c*|delta L| and c*|delta M| (the relative error of e^{cL}, e^{-cM})
+    # splitting accepts a step when its error estimate is within
+    # abs_tol + rel_tol * |p|_1 in |delta p|_1, and within rel_tol in
+    # c*|delta L| and c*|delta M| (the relative error of e^{cL}, e^{-cM})
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     t_samples: Optional[Sequence[float]] = None
     n_samples: int = 201
 
     def __post_init__(self):
-        if self.method not in ("splitting", "rk4", "rk45"):
+        if self.method not in ("splitting", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
         if not (self.dt_init > 0 and self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("dt_init and tolerances must be positive")
@@ -144,29 +141,6 @@ def _rhs(params, window, p, L, M) -> Tuple[np.ndarray, float, float]:
 def rhs(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, float]:
     """(dp, dL, dM) of the truncated system; sum(dp) = 0 in exact arithmetic."""
     return _rhs(params, state.window, state.p.values, state.L, state.M)
-
-
-def rhs_sd(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, float]:
-    """(dp, ds, dd) in the (s, d) coordinates, where exp(c*d) multiplies
-    a generator that depends on s only.  Requires C_lambda = C_mu."""
-    if not params.mean_reverting:
-        raise NotMeanReverting(
-            "the (s, d) form assumes C_lambda = C_mu (there are no fixed points otherwise)"
-        )
-    c = params.c
-    s, d = state.s, state.d
-    # the rates at L = M = s are the s-only generator's a and b
-    a, b = rate_arrays(params, s, s, state.window)
-    ecd = math.exp(c * d)
-    p = state.p.values
-    dp = -ecd * (a + b) * p
-    dp[1:] += ecd * a[:-1] * p[:-1]
-    dp[:-1] += ecd * b[1:] * p[1:]
-    sum_a = float(np.dot(p, a))
-    sum_b = float(np.dot(p, b))
-    ds = -0.5 * ecd * (sum_a - sum_b)
-    dd = -0.5 * ecd * (sum_a + sum_b) + params.C_lambda
-    return dp, ds, dd
 
 
 def conserved_K(state: SystemState) -> float:
@@ -299,8 +273,11 @@ def _rhs_flat(params, window, y):
 
 
 def _substeps(t0, t1, dt):
-    """(n, h): the fewest equal steps of length h <= dt that span [t0, t1]."""
-    n_steps = max(1, int(math.ceil((t1 - t0) / dt)))
+    """(n, h): the fewest equal steps of length h <= dt that span [t0, t1];
+    a ratio (t1 - t0) / dt within round-off of an integer counts as that
+    integer (0.1 / 1e-4 is 1000.0000000000001)."""
+    ratio = (t1 - t0) / dt
+    n_steps = max(1, math.ceil(ratio * (1.0 - SUBSTEP_ROUNDOFF)))
     return n_steps, (t1 - t0) / n_steps
 
 
@@ -313,26 +290,6 @@ def _rk4_advance(params, window, y, t_span, config):
         k4 = _rhs_flat(params, window, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y, n_steps, 0
-
-
-def _rk45_advance(params, window, y, t_span, config):
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        lambda t, yy: _rhs_flat(params, window, yy),
-        t_span,
-        y,
-        method="RK45",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        first_step=min(config.dt_init, t_span[1] - t_span[0]),
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(f"adaptive step failed: {sol.message}")
-    accepted = len(sol.t) - 1
-    # RK45 evaluates the right-hand side once at the start and six times
-    # per attempted step
-    return sol.y[:, -1], accepted, max(0, (sol.nfev - 1) // 6 - accepted)
 
 
 def _check_explicit_stability(params, state, dt):
@@ -425,12 +382,11 @@ def integrate(
 
     else:
         _check_explicit_stability(params, state0, config.dt_init)
-        advance_y = _rk4_advance if config.method == "rk4" else _rk45_advance
         size = window.size
 
         def advance(p, L, M, t_span):
             y = np.concatenate([p, [L, M]])
-            y, accepted, rejected = advance_y(params, window, y, t_span, config)
+            y, accepted, rejected = _rk4_advance(params, window, y, t_span, config)
             return y[:size], y[size], y[size + 1], accepted, rejected
 
     for t_lo, t_hi in zip(ts[:-1], ts[1:]):
@@ -439,15 +395,3 @@ def integrate(
         log.rejected_steps += rejected
         p = record(t_hi, p, L, M)
     return log
-
-
-def explosion_monitor_ok(log: TrajectoryLog, slack: float = 1e-7) -> bool:
-    """No-explosion bounds L(t) <= L0 + C_lambda*t, M(t) >= M0 - C_mu*t."""
-    s0 = log.samples[0]
-    for s in log.samples:
-        dt = s.t - s0.t
-        if s.state.L > s0.state.L + log.params.C_lambda * dt + slack:
-            return False
-        if s.state.M < s0.state.M - log.params.C_mu * dt - slack:
-            return False
-    return True

@@ -20,8 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFixedPoint, WindowTooNarrow
-from .lattice import LatticeMeasure, Window, mean_position
+from .lattice import LatticeMeasure, Window
 from .model import ModelParams, eval_beta, rate_arrays
+
+# gaussian_sum stops once both outward terms fall below this fraction of
+# the accumulated absolute scale
+SUM_EPS = 1e-16
+# solve_s_from_K accepts s once |K_of_s(s) - K| is below this
+K_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -34,13 +40,11 @@ class FixedPoint:
     Xi: float
 
 
-def gaussian_sum(c: float, s: float, weight=None, eps: float = 1e-16) -> float:
+def gaussian_sum(c: float, s: float, weight=None) -> float:
     """sum_n w(n) exp(-c(n-s)^2), summed outward from round(s) with
     compensated accumulation, stopping when both directions fall below
-    eps times the accumulated absolute scale (the signed sum can be near
-    zero, e.g. for the first-moment weight).  w defaults to 1."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    SUM_EPS times the accumulated absolute scale (the signed sum can be
+    near zero, e.g. for the first-moment weight).  w defaults to 1."""
     center = int(round(s))
 
     def term(n):
@@ -55,15 +59,15 @@ def gaussian_sum(c: float, s: float, weight=None, eps: float = 1e-16) -> float:
         terms.append(up)
         terms.append(down)
         scale += abs(up) + abs(down)
-        if abs(up) < eps * scale and abs(down) < eps * scale:
+        if abs(up) < SUM_EPS * scale and abs(down) < SUM_EPS * scale:
             return math.fsum(terms)
     raise RuntimeError("gaussian sum failed to converge")
 
 
-def partition_Xi(c: float, s: float, eps: float = 1e-16) -> float:
+def partition_Xi(c: float, s: float) -> float:
     """Normalization of the discrete Gaussian: sum_n exp(-c(n-s)^2) by
     direct truncated summation (no theta-function identities)."""
-    return gaussian_sum(c, s, eps=eps)
+    return gaussian_sum(c, s)
 
 
 def discrete_gaussian(c: float, s: float, window: Window) -> LatticeMeasure:
@@ -109,7 +113,7 @@ def K_of_s(params: ModelParams, s: float) -> float:
     return 2.0 * s + first / xi
 
 
-def solve_s_from_K(params: ModelParams, K: float, tol: float = 1e-11) -> float:
+def solve_s_from_K(params: ModelParams, K: float) -> float:
     """The unique s* with K_of_s(s*) = K.
 
     Bisection on [K/3 - 1, K/3 + 1]; the bracket is always valid because
@@ -122,7 +126,7 @@ def solve_s_from_K(params: ModelParams, K: float, tol: float = 1e-11) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = K_of_s(params, mid) - K
-        if abs(fmid) < tol:
+        if abs(fmid) < K_TOL:
             return mid
         if fmid < 0:
             lo = mid

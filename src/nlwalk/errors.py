@@ -17,10 +17,6 @@ class NoFixedPoint(ModelConditionError):
     """C_lambda != C_mu: the system has no fixed points."""
 
 
-class NotMeanReverting(NoFixedPoint):
-    """The (s, d) form of the equations requires C_lambda == C_mu."""
-
-
 class NumericalError(NlwalkError):
     """A computation left the representable or stable range (CLI exit code 4)."""
 
@@ -32,10 +28,6 @@ class InvalidProfile(NlwalkError):
 class RateOverflow(NumericalError):
     """Jump-rate exponent outside the representable range; the window is
     too wide for the current (L, M)."""
-
-
-class NormOverflow(NumericalError):
-    """Weighted-norm accumulation overflowed."""
 
 
 class WindowTooNarrow(NlwalkError):

@@ -19,7 +19,6 @@ suffers catastrophic cancellation there).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -175,8 +174,8 @@ def v_norm_bound(
     return sup_beta * math.exp(0.5 + abs(alpha)) * (math.exp(-M) + math.exp(L))
 
 
-def _poisson_pmf(lam: float, tail: float = PMF_TAIL) -> np.ndarray:
-    """Poisson(lam) pmf for k = 0..K with tail mass below `tail`.
+def _poisson_pmf(lam: float) -> np.ndarray:
+    """Poisson(lam) pmf for k = 0..K with tail mass below PMF_TAIL.
 
     Built multiplicatively outward from the mode so that large lam never
     over/underflows.
@@ -188,11 +187,11 @@ def _poisson_pmf(lam: float, tail: float = PMF_TAIL) -> np.ndarray:
     hi = mode
     val = math.exp(log_mode)
     upper = [val]
-    while val > tail * 1e-3 or hi < lam:
+    while val > PMF_TAIL * 1e-3 or hi < lam:
         hi += 1
         val *= lam / hi
         upper.append(val)
-        if hi > lam + 20 and val < tail * 1e-3:
+        if hi > lam + 20 and val < PMF_TAIL * 1e-3:
             break
     lower = []
     val = math.exp(log_mode)
@@ -201,7 +200,7 @@ def _poisson_pmf(lam: float, tail: float = PMF_TAIL) -> np.ndarray:
         val *= lo / lam
         lo -= 1
         lower.append(val)
-        if val < tail * 1e-3 and lo < lam - 20:
+        if val < PMF_TAIL * 1e-3 and lo < lam - 20:
             break
     pmf = np.zeros(hi + 1)
     pmf[mode:] = upper
@@ -434,17 +433,6 @@ def write_kernel_csv(kernel: Kernel, fh: IO[str]) -> None:
     for i, ni in enumerate(sites):
         for j, nj in enumerate(sites):
             w.writerow([int(ni), int(nj), repr(float(kernel.rows[i, j]))])
-
-
-def kernel_metadata_json(kernel: Kernel) -> str:
-    return json.dumps(
-        {
-            "t0": kernel.t0,
-            "t1": kernel.t1,
-            "n_min": kernel.window.n_min,
-            "size": kernel.window.size,
-        }
-    )
 
 
 def write_paths_csv(paths: np.ndarray, sample_times: Sequence[float], fh: IO[str]) -> None:

@@ -5,7 +5,7 @@ and n -> n-1 at rate            mu_n     = beta(n-1) * exp(c*(n - M)).
 
 All profile kinds are positive on every window; the two admissibility
 checks (bounded sup; strict one-step contraction of beta/e differences)
-and the weighted-operator-norm estimate live here as plain functions.
+live here as plain functions.
 """
 
 from __future__ import annotations
@@ -125,8 +125,9 @@ class ModelParams:
 
 
 def jump_rates(params: ModelParams, L: float, M: float, n: int) -> Tuple[float, float]:
-    """(lambda_n, mu_n) at the given (L, M); raises RateOverflow when the
-    exponent leaves the representable range."""
+    """(lambda_n, mu_n) at the given (L, M), site by site: the scalar
+    reference for rate_arrays.  Raises RateOverflow when the exponent
+    leaves the representable range."""
     a = -params.c * (n - L)
     b = params.c * (n - M)
     if abs(a) > EXP_LIMIT or abs(b) > EXP_LIMIT:
@@ -187,45 +188,11 @@ def check_beta_bounded(profile: BetaProfile, window: Window) -> Tuple[bool, floa
     return math.isfinite(sup), sup
 
 
-def check_contraction(profile: BetaProfile, window: Window, C: float) -> bool:
-    """Strict contraction condition: both one-step differences
-    beta(n+-1)/e - beta(n) < -C on the window (beta > 0 holds for every
-    profile)."""
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
-    return largest_contraction_constant(profile, window) > C
-
-
 def largest_contraction_constant(profile: BetaProfile, window: Window) -> float:
-    """Largest C for which check_contraction holds on the window (may be <= 0,
-    meaning the condition fails)."""
+    """min over the window of beta(n) - beta(n+-1)/e.  The strict
+    contraction condition beta(n+-1)/e - beta(n) < -C holds for every
+    0 < C below it; a value <= 0 means the condition fails."""
     beta = beta_array(profile, window.n_min - 1, window.n_max + 1)
     inv_e = 1.0 / math.e
     b = beta[1:-1]
     return float(min((b - inv_e * beta[2:]).min(), (b - inv_e * beta[:-2]).min()))
-
-
-def rate_boundedness(
-    params: ModelParams, window: Window, L: float, M: float
-) -> Tuple[float, np.ndarray, float]:
-    """Rate-boundedness criterion for the off-diagonal operator.
-
-    Returns (sup_n lambda_n*mu_{n+1}, weights c_n, norm estimate
-    max_n sqrt(lambda_{n-1} mu_n) + sqrt(lambda_n mu_{n+1})).  The weights
-    c_n = sqrt(mu_1..mu_n / lambda_0..lambda_{n-1}) are computed through
-    cumulative log-sums (anchored at the window start) to avoid overflow.
-    """
-    if window.size < 2:
-        raise ValueError("window must contain at least two sites")
-    lam, mu = rate_arrays(params, L, M, window, truncated=False)
-    prod = lam[:-1] * mu[1:]
-    sup = float(prod.max())
-    log_w = np.concatenate(
-        ([0.0], 0.5 * np.cumsum(np.log(mu[1:]) - np.log(lam[:-1])))
-    )
-    with np.errstate(over="ignore"):
-        weights = np.exp(log_w)
-    root = np.sqrt(prod)
-    two_term = root[:-1] + root[1:]
-    norm_estimate = float(two_term.max()) if two_term.size else 2.0 * float(root.max())
-    return sup, weights, norm_estimate

@@ -47,10 +47,6 @@ class ParticleLog:
     seed: int
     samples: List[ParticleSample] = field(default_factory=list)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
     def final(self) -> ParticleSample:
         return self.samples[-1]
 

@@ -116,7 +116,7 @@ def test_criterion_04_convergence(bench_params, bench_window, bench_log_T50):
 
 def test_criterion_05_lyapunov_monotonicity(bench_log_T20):
     with budget(5.0):
-        report = monitor(bench_log_T20, slack=1e-9)
+        report = monitor(bench_log_T20)
         assert report.violations == 0
         assert report.q_bounded
         assert report.q_max <= report.q_bound + 1e-9

@@ -1,0 +1,36 @@
+"""The public surface stays what the library, README, benchmark and
+acceptance suite use."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import nlwalk
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _code_names(path):
+    """Names a module's code loads or reads as attributes (not its def and
+    class names, imports, docstrings or comments)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_has_a_user():
+    # a name only unit tests reach should not be exported
+    sources = [p for p in (ROOT / "src" / "nlwalk").glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_code_names, sources))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    public = [
+        name for name, value in vars(nlwalk).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    unused = [n for n in public if n not in used and not re.search(rf"\b{n}\b", readme)]
+    assert public and not unused, f"exported but unused: {unused}"

@@ -111,6 +111,12 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_unknown_integrator_method(self, tmp_path, capsys):
+        # the integrators are splitting and rk4; rk45 is not one of them
+        cfg = write_config(tmp_path, BASE.replace("method = splitting", "method = rk45"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown integrator method" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "particles"])
     @pytest.mark.parametrize("key", ["l0", "m0"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

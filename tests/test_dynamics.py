@@ -17,19 +17,16 @@ from nlwalk import (
     TableBeta,
     Window,
     conserved_K,
-    explosion_monitor_ok,
     fixed_point,
     integrate,
     K_of_s,
     rhs,
-    rhs_sd,
     solve_s_from_K,
     total_variation,
 )
 from nlwalk.dynamics import MASS_TOL, NEG_TOL
-from nlwalk.errors import NlwalkError, NotMeanReverting, RateOverflow, StepSizeUnderflow
-from nlwalk.lyapunov import Q_value
-from nlwalk.model import eval_beta, rate_arrays
+from nlwalk.errors import NlwalkError, RateOverflow, StepSizeUnderflow
+from nlwalk.model import rate_arrays
 
 PROFILES = [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()]
 
@@ -39,6 +36,16 @@ def random_state(seed, window=None):
     w = window or Window.symmetric(8)
     p = LatticeMeasure.normalized(w, r.random(w.size))
     return SystemState(p=p, L=r.uniform(-1, 1), M=r.uniform(-1, 1))
+
+
+def within_no_explosion_bounds(log, slack=1e-7):
+    """L(t) <= L0 + C_lambda*t and M(t) >= M0 - C_mu*t on every sample."""
+    s0, params = log.samples[0], log.params
+    return all(
+        s.state.L <= s0.state.L + params.C_lambda * (s.t - s0.t) + slack
+        and s.state.M >= s0.state.M - params.C_mu * (s.t - s0.t) - slack
+        for s in log.samples
+    )
 
 
 class TestRhs:
@@ -67,73 +74,6 @@ class TestRhs:
             dp, dL, dM = rhs(params, state)
             residual = np.abs(dp).sum() + abs(dL) + abs(dM)
             assert residual < max(1e-12, 10 * math.exp(-m * m))
-
-
-class TestRhsSd:
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_change_of_variables(self, seed):
-        params = ModelParams()
-        state = random_state(seed)
-        dp, dL, dM = rhs(params, state)
-        dp2, ds, dd = rhs_sd(params, state)
-        assert np.allclose(dp, dp2, rtol=1e-12, atol=1e-15)
-        assert ds == pytest.approx(0.5 * (dL + dM), abs=1e-12)
-        assert dd == pytest.approx(0.5 * (dL - dM), abs=1e-12)
-
-    def test_d_equation_reduction(self):
-        # dd = -(1/2) e^{c d} Q + C_lambda at c = 1.  Q is defined with the
-        # full (untruncated) rates, so use a measure with negligible edge
-        # mass where truncation cannot be felt.
-        from nlwalk import discrete_gaussian
-
-        params = ModelParams()
-        w = Window.symmetric(15)
-        state = SystemState(p=discrete_gaussian(1.0, 0.2, w), L=0.9, M=-0.3)
-        _, _, dd = rhs_sd(params, state)
-        expected = -0.5 * math.exp(state.d) * Q_value(params, state) + params.C_lambda
-        assert dd == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_at_fixed_point(self):
-        params = ModelParams()
-        fp = fixed_point(params, 0.7, Window.symmetric(25))
-        state = SystemState(p=fp.pi, L=fp.L_s, M=fp.M_s)
-        _, ds, dd = rhs_sd(params, state)
-        assert abs(ds) < 1e-10 and abs(dd) < 1e-10
-
-    def test_requires_mean_reverting(self):
-        with pytest.raises(NotMeanReverting):
-            rhs_sd(ModelParams(C_mu=2.0), random_state(1))
-
-    @pytest.mark.parametrize("beta", PROFILES)
-    def test_bit_equal_to_inline_formula(self, beta):
-        # the (s, d) rates written out from beta and exp, as rhs_sd once
-        # computed them
-        for c in (1.0, 0.7, 1.3):
-            params = ModelParams(c=c, beta=beta)
-            for w in (Window.symmetric(25), Window.symmetric(5), Window(3, 20)):
-                r = np.random.default_rng(w.size)
-                n = w.sites().astype(float)
-                center = float(n.mean())
-                p = LatticeMeasure.normalized(w, r.random(w.size))
-                state = SystemState(p=p, L=center + 0.8, M=center - 1.7)
-                s, d = state.s, state.d
-                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
-                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
-                a = bn * np.exp(c * (s - n))
-                b = bnm1 * np.exp(c * (n - s))
-                a[-1] = 0.0
-                b[0] = 0.0
-                ecd = math.exp(c * d)
-                dp_ref = -ecd * (a + b) * p.values
-                dp_ref[1:] += ecd * a[:-1] * p.values[:-1]
-                dp_ref[:-1] += ecd * b[1:] * p.values[1:]
-                sum_a = float(np.dot(p.values, a))
-                sum_b = float(np.dot(p.values, b))
-                dp, ds, dd = rhs_sd(params, state)
-                assert np.array_equal(dp, dp_ref)
-                assert ds == -0.5 * ecd * (sum_a - sum_b)
-                assert dd == -0.5 * ecd * (sum_a + sum_b) + params.C_lambda
 
 
 class TestConservedK:
@@ -167,7 +107,7 @@ class TestIntegrate:
         )
         assert all(abs(s.mass - 1.0) < 1e-9 for s in log.samples)
         assert all(s.min_p >= -1e-9 for s in log.samples)
-        assert explosion_monitor_ok(log)
+        assert within_no_explosion_bounds(log)
         times = log.times
         assert (np.diff(times) > 0).all()
 
@@ -188,22 +128,6 @@ class TestIntegrate:
         assert abs(a.final().L - b.final().L) < 1e-6
         assert abs(a.final().M - b.final().M) < 1e-6
         assert total_variation(a.final().p, b.final().p) < 1e-6
-
-    def test_rk45_agrees(self):
-        params = ModelParams()
-        w = Window.symmetric(5)
-        state0 = SystemState(p=LatticeMeasure.delta(0, w), L=0.3, M=-0.2)
-        a = integrate(
-            params, state0, 0.5,
-            IntegratorConfig(method="splitting", dt_init=1e-4, n_samples=6),
-        )
-        c = integrate(
-            params, state0, 0.5,
-            IntegratorConfig(method="rk45", dt_init=1e-4, rel_tol=1e-10,
-                             abs_tol=1e-13, n_samples=6),
-        )
-        assert abs(a.final().L - c.final().L) < 1e-6
-        assert total_variation(a.final().p, c.final().p) < 1e-6
 
     def test_explicit_stability_guard(self, bench_params, bench_state0):
         # window [-25,25] has generator diagonal ~ e^26; explicit RK at
@@ -245,7 +169,7 @@ class TestIntegrate:
             params, state0, 1.0,
             IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=5),
         )
-        assert explosion_monitor_ok(log)
+        assert within_no_explosion_bounds(log)
 
 
 def _log_digest(log):
@@ -271,23 +195,17 @@ class TestGoldenSamples:
         )
         assert _log_digest(log) == "0cfc86f9e512234520e8788748ad8094f70315f38eec68b2447a2529a2126fac"
 
-    @pytest.mark.parametrize(
-        "method, extra, digest",
-        [
-            ("rk4", {}, "b8052efc4f198636181df574ad542c62a3caac27d5346342bbd4e13baa2d6649"),
-            ("rk45", {"rel_tol": 1e-10, "abs_tol": 1e-13},
-             "5386a99ef87b43345377c63ecfd716e200696d25997a70f4a8e6155420b4f1a6"),
-        ],
-    )
-    def test_explicit_narrow_window(self, method, extra, digest):
+    def test_explicit_narrow_window(self):
+        # rk4 at exactly 1 000 steps per sample interval of 0.1
         state0 = SystemState(
             p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0.3, M=-0.2
         )
         log = integrate(
             ModelParams(), state0, 0.5,
-            IntegratorConfig(method=method, dt_init=1e-4, n_samples=6, **extra),
+            IntegratorConfig(method="rk4", dt_init=1e-4, n_samples=6),
         )
-        assert _log_digest(log) == digest
+        assert log.steps == 5000
+        assert _log_digest(log) == "77576aa315f9985b5bb10c8412a7be5e8a883ab0afebce659f4173c2a7bf876f"
 
 
 class TestSplittingWindowLimit:
@@ -368,13 +286,9 @@ class TestExtrapolatedSplitting:
             ModelParams(), state0, 0.5,
             IntegratorConfig(method="rk4", dt_init=1e-3, n_samples=6),
         )
-        # ceil(interval / dt_init) equal steps per sample interval
-        assert 500 <= rk4.steps <= 505 and rk4.rejected_steps == 0
-        rk45 = integrate(
-            ModelParams(), state0, 0.5,
-            IntegratorConfig(method="rk45", dt_init=1e-4, n_samples=6),
-        )
-        assert rk45.steps > 5 and rk45.rejected_steps >= 0
+        # interval / dt_init = 100 equal steps per sample interval, although
+        # the float ratio 0.1 / 1e-3 is 100.00000000000001
+        assert (rk4.steps, rk4.rejected_steps) == (500, 0)
 
 
 @st.composite

@@ -163,7 +163,7 @@ class TestMonitor:
         )
         report = monitor(log)
         assert report.violations == 0
-        ws = [s.W for s in report.series]
+        ws = [s.W for s in log.samples]
         assert max(ws) - min(ws) < 1e-9
 
     def test_corrupted_log_detected(self, short_log):

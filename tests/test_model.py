@@ -12,13 +12,10 @@ from nlwalk import (
     TableBeta,
     Window,
     check_beta_bounded,
-    check_contraction,
-    jump_rates,
-    rate_boundedness,
     rate_arrays,
 )
 from nlwalk.errors import InvalidProfile, RateOverflow
-from nlwalk.model import beta_array, eval_beta, largest_contraction_constant
+from nlwalk.model import beta_array, eval_beta, jump_rates, largest_contraction_constant
 
 
 class TestEvalBeta:
@@ -102,17 +99,20 @@ class TestConditions:
         assert holds
         assert sup == max(prof.value(n) for n in range(-50, 51))
 
+    # the contraction condition with constant C holds iff C is below
+    # largest_contraction_constant
+
     def test_contraction_constant_true(self):
         # 1/e - 1 = -0.632... < -0.5
-        assert check_contraction(ConstantBeta(1.0), Window.symmetric(10), 0.5)
+        assert largest_contraction_constant(ConstantBeta(1.0), Window.symmetric(10)) > 0.5
 
     def test_contraction_constant_false(self):
-        assert not check_contraction(ConstantBeta(1.0), Window.symmetric(10), 0.7)
+        assert not largest_contraction_constant(ConstantBeta(1.0), Window.symmetric(10)) > 0.7
 
     def test_contraction_exponential_table_false(self):
         vals = tuple(math.exp(abs(n)) for n in range(-5, 6))
         prof = TableBeta(values=vals, n_min=-5)
-        assert not check_contraction(prof, Window(-5, 11), 0.1)
+        assert not largest_contraction_constant(prof, Window(-5, 11)) > 0.1
 
     def test_contraction_closed_form_constant(self):
         # for constant(b): true iff b(1/e - 1) < -C
@@ -120,7 +120,7 @@ class TestConditions:
         for b in (0.5, 1.0, 2.0):
             for C in (0.1, 0.3, 0.632, 1.0):
                 expected = b * (1 / math.e - 1) < -C
-                assert check_contraction(ConstantBeta(b), w, C) == expected
+                assert (largest_contraction_constant(ConstantBeta(b), w) > C) == expected
 
     def test_largest_contraction_constant(self):
         C = largest_contraction_constant(ConstantBeta(1.0), Window.symmetric(10))
@@ -160,23 +160,7 @@ class TestConditions:
                     and inv_e * eval_beta(prof, n - 1) - eval_beta(prof, n) < -C
                     for n in sites
                 )
-                assert check_contraction(prof, w, C) == verdict
-
-
-class TestRateBoundedness:
-    def test_sup_at_origin(self):
-        # lambda_n mu_{n+1} = e^{L-M+1} = e for all n at L = M = 0, so the
-        # norm estimate 2 max sqrt(lambda_{n-1} mu_n) is 2 sqrt(e)
-        sup, weights, est = rate_boundedness(
-            ModelParams(), Window.symmetric(10), 0.0, 0.0
-        )
-        assert sup == pytest.approx(math.e, rel=1e-12)
-        assert est == pytest.approx(2.0 * math.sqrt(math.e), rel=1e-12)
-        assert np.isfinite(weights).all()
-
-    def test_sup_with_gap(self):
-        sup, _, _ = rate_boundedness(ModelParams(), Window.symmetric(10), 1.0, -1.0)
-        assert sup == pytest.approx(math.exp(3.0), rel=1e-12)
+                assert (largest_contraction_constant(prof, w) > C) == verdict
 
 
 class TestRateArrays:
