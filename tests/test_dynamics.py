@@ -26,7 +26,8 @@ from nlwalk import (
 )
 from nlwalk.dynamics import MASS_TOL, NEG_TOL
 from nlwalk.errors import NlwalkError, RateOverflow, StepSizeUnderflow
-from nlwalk.model import rate_arrays
+from nlwalk.lyapunov import Q_value
+from nlwalk.model import eval_beta, rate_arrays
 
 PROFILES = [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()]
 
@@ -74,6 +75,81 @@ class TestRhs:
             dp, dL, dM = rhs(params, state)
             residual = np.abs(dp).sum() + abs(dL) + abs(dM)
             assert residual < max(1e-12, 10 * math.exp(-m * m))
+
+
+class TestRhsSd:
+    """rhs in the coordinates s = (L + M)/2, d = (L - M)/2, where the rates
+    factor as lambda_n = e^{cd} beta(n) e^{c(s-n)} and
+    mu_n = e^{cd} beta(n-1) e^{c(n-s)}."""
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_change_of_variables(self, seed):
+        params = ModelParams()
+        state = random_state(seed)
+        _, dL, dM = rhs(params, state)
+        c, s, d = params.c, state.s, state.d
+        n = state.window.sites().astype(float)
+        a = np.array([eval_beta(params.beta, k) for k in state.window.sites()])
+        b = np.array([eval_beta(params.beta, k - 1) for k in state.window.sites()])
+        a = a * np.exp(c * (s - n))
+        b = b * np.exp(c * (n - s))
+        a[-1] = 0.0
+        b[0] = 0.0
+        ecd = math.exp(c * d)
+        sum_a = float(np.dot(state.p.values, a))
+        sum_b = float(np.dot(state.p.values, b))
+        assert 0.5 * (dL + dM) == pytest.approx(-0.5 * ecd * (sum_a - sum_b), abs=1e-12)
+        assert 0.5 * (dL - dM) == pytest.approx(
+            -0.5 * ecd * (sum_a + sum_b) + params.C_lambda, abs=1e-12
+        )
+
+    def test_d_equation_reduction(self):
+        # dd = -(1/2) e^{c d} Q + C_lambda at c = 1.  Q is defined with the
+        # full (untruncated) rates, so use a measure with negligible edge
+        # mass where truncation cannot be felt.
+        from nlwalk import discrete_gaussian
+
+        params = ModelParams()
+        w = Window.symmetric(15)
+        state = SystemState(p=discrete_gaussian(1.0, 0.2, w), L=0.9, M=-0.3)
+        _, dL, dM = rhs(params, state)
+        expected = -0.5 * math.exp(state.d) * Q_value(params, state) + params.C_lambda
+        assert 0.5 * (dL - dM) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_at_fixed_point(self):
+        params = ModelParams()
+        fp = fixed_point(params, 0.7, Window.symmetric(25))
+        state = SystemState(p=fp.pi, L=fp.L_s, M=fp.M_s)
+        _, dL, dM = rhs(params, state)
+        ds, dd = 0.5 * (dL + dM), 0.5 * (dL - dM)
+        assert abs(ds) < 1e-10 and abs(dd) < 1e-10
+
+    @pytest.mark.parametrize("beta", PROFILES)
+    def test_bit_equal_to_inline_formula(self, beta):
+        # the truncated generator written out from beta and exp
+        for c in (1.0, 0.7, 1.3):
+            params = ModelParams(c=c, beta=beta)
+            for w in (Window.symmetric(25), Window.symmetric(5), Window(3, 20)):
+                r = np.random.default_rng(w.size)
+                n = w.sites().astype(float)
+                center = float(n.mean())
+                p = LatticeMeasure.normalized(w, r.random(w.size))
+                state = SystemState(p=p, L=center + 0.8, M=center - 1.7)
+                L, M = state.L, state.M
+                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
+                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
+                lam = bn * np.exp(-c * (n - L))
+                mu = bnm1 * np.exp(c * (n - M))
+                lam[-1] = 0.0
+                mu[0] = 0.0
+                dp_ref = -(lam + mu) * p.values
+                dp_ref[1:] += lam[:-1] * p.values[:-1]
+                dp_ref[:-1] += mu[1:] * p.values[1:]
+                dp, dL, dM = rhs(params, state)
+                assert np.array_equal(dp, dp_ref)
+                assert dL == -float(np.dot(p.values, lam)) + params.C_lambda
+                assert dM == float(np.dot(p.values, mu)) - params.C_mu
 
 
 class TestConservedK:

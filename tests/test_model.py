@@ -163,6 +163,29 @@ class TestConditions:
                 assert (largest_contraction_constant(prof, w) > C) == verdict
 
 
+class TestRateBoundedness:
+    # sup_n lambda_n mu_{n+1} of the untruncated rates, which bounds the
+    # off-diagonal part of the generator, and the norm estimate
+    # max_n sqrt(lambda_{n-1} mu_n) + sqrt(lambda_n mu_{n+1})
+
+    @staticmethod
+    def products(L, M):
+        lam, mu = rate_arrays(ModelParams(), L, M, Window.symmetric(10), truncated=False)
+        return lam[:-1] * mu[1:]
+
+    def test_sup_at_origin(self):
+        # lambda_n mu_{n+1} = e^{L-M+1} = e for all n at L = M = 0, so the
+        # norm estimate is 2 sqrt(e)
+        prod = self.products(0.0, 0.0)
+        root = np.sqrt(prod)
+        assert prod.max() == pytest.approx(math.e, rel=1e-12)
+        assert (root[:-1] + root[1:]).max() == pytest.approx(2.0 * math.sqrt(math.e), rel=1e-12)
+        assert np.isfinite(prod).all()
+
+    def test_sup_with_gap(self):
+        assert self.products(1.0, -1.0).max() == pytest.approx(math.exp(3.0), rel=1e-12)
+
+
 class TestRateArrays:
     def test_truncation_zeroes_edges(self):
         w = Window.symmetric(5)
