@@ -1,7 +1,8 @@
 """Command-line runner: INI configs in, CSV/JSON artifacts out.
 
-Exit codes: 0 ok, 2 invalid config, 3 model-condition failure (e.g. a
-convergence verdict requested with C_lambda != C_mu), 4 numerical failure.
+Exit codes: 0 ok, 2 invalid config or input value, 3 model-condition
+failure (e.g. a convergence verdict requested with C_lambda != C_mu), 4
+numerical failure; each error class carries its code as `exit_code`.
 Identical config + seed gives byte-identical CSV output; floats are
 written with repr() so they round-trip exactly.
 """
@@ -32,7 +33,6 @@ from .errors import (
     InvalidProfile,
     ModelConditionError,
     NlwalkError,
-    NumericalError,
     WindowTooNarrow,
 )
 from .lattice import LatticeMeasure, Window, total_variation, write_measure_csv
@@ -82,6 +82,8 @@ class RunConfig:
             v = self._p.getfloat(section, key, fallback=default)
         except ValueError as e:
             raise ConfigError(f"[{section}] {key}: {e}") from e
+        if v is not None and not math.isfinite(v):
+            raise ConfigError(f"[{section}] {key}: must be finite, got {v}")
         return v
 
     def getint(self, section, key, default=None):
@@ -404,13 +406,10 @@ def cmd_particles(cfg: RunConfig, args) -> int:
     dt = cfg.getfloat("particles", "dt", 1e-3)
     T = cfg.getfloat("particles", "t_final", cfg.getfloat("run", "t_final", 5.0))
     seed = _seed(cfg, args)
-    try:
-        log = run_particles(
-            cfg.params, state0.p, state0.L, state0.M, n, T, dt, seed,
-            n_samples=cfg.getint("particles", "n_samples", 51),
-        )
-    except ValueError as e:
-        raise ConfigError(f"invalid particles section: {e}") from e
+    log = run_particles(
+        cfg.params, state0.p, state0.L, state0.M, n, T, dt, seed,
+        n_samples=cfg.getint("particles", "n_samples", 51),
+    )
     with (out / "particles.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "L", "M", "K_N"])
@@ -486,16 +485,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, InvalidProfile, WindowTooNarrow) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ModelConditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except NlwalkError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return e.exit_code
+    except ValueError as e:
+        # a library call refused an input value the config passed through
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,25 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Each class carries the CLI exit code of its failures: 2 for invalid input
+(the default), 3 for a violated model condition, 4 for a numerical
+failure.
+"""
 
 
 class NlwalkError(Exception):
     """Base class for package errors."""
 
+    exit_code = 2
+
 
 class ConfigError(NlwalkError):
-    """Invalid run configuration (CLI exit code 2)."""
+    """Invalid run configuration."""
 
 
 class ModelConditionError(NlwalkError):
-    """A requested model condition does not hold (CLI exit code 3)."""
+    """A requested model condition does not hold."""
+
+    exit_code = 3
 
 
 class NoFixedPoint(ModelConditionError):
@@ -18,7 +27,9 @@ class NoFixedPoint(ModelConditionError):
 
 
 class NumericalError(NlwalkError):
-    """A computation left the representable or stable range (CLI exit code 4)."""
+    """A computation left the representable or stable range."""
+
+    exit_code = 4
 
 
 class InvalidProfile(NlwalkError):
@@ -56,7 +67,3 @@ class DominatingRateOverflow(NumericalError):
 
 class StepTooLarge(NlwalkError):
     """Particle step violates dt * max_rate < 0.1."""
-
-
-class CNotOne(NlwalkError):
-    """Certified Lyapunov evaluation requested with c != 1."""

@@ -32,7 +32,7 @@ from .errors import (
     UniformizationOverflow,
 )
 from .lattice import LatticeMeasure, Window, log_plus_weights
-from .model import EXP_LIMIT, ModelParams, beta_array, rate_arrays
+from .model import ModelParams, rate_arrays
 
 UNIFORMIZATION_LIMIT = 700.0
 PMF_TAIL = 1e-15
@@ -332,26 +332,6 @@ def _path_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _dominating_rates(
-    betas: Sequence[float], c: float, window: Window, L_max: float, M_min: float
-) -> list:
-    """Thinning bound R[n - n_min] = lambda bound + mu bound per site, for an
-    interval on which L <= L_max and M >= M_min; edge rates are truncated
-    as in the finite chain.  `betas` holds beta(n) for n in
-    [n_min - 1, n_max].  A bound whose exponent exceeds EXP_LIMIT is inf,
-    so the window may reach sites no path can be sampled on."""
-
-    def bound(b: float, a: float) -> float:
-        return b * math.exp(a) if a <= EXP_LIMIT else math.inf
-
-    R = []
-    for i, n in enumerate(range(window.n_min, window.n_max + 1)):
-        lam = bound(betas[i + 1], -c * (n - L_max)) if n < window.n_max else 0.0
-        mu = bound(betas[i], c * (n - M_min)) if n > window.n_min else 0.0
-        R.append(lam + mu)
-    return R
-
-
 def sample_paths(
     params: ModelParams,
     path: FrozenPath,
@@ -364,25 +344,33 @@ def sample_paths(
 
     Returns an (n_paths, len(sample_times)) integer array of positions.
     Each path jumps by thinning against the dominating rate of its
-    *current* site over the current inter-sample interval.  The bounds are
-    per site and per interval: each interval's (max L, min M) envelope
-    and its table of per-site bounds are built once and shared by all
-    paths.  Edge rates are truncated as in the finite chain.  Path i draws
-    from its own counter-based stream keyed by (seed, i), so it does not
-    depend on n_paths; a path that sits on a site whose bound is not
-    samplable raises DominatingRateOverflow.
+    *current* site over the current inter-sample interval.  The rates
+    depend on (L, M) only through e^{cL} and e^{-cM}, so the rate table
+    at the interval's (max L, min M) envelope dominates every rate on the
+    interval: it is built once per interval with rate_arrays and shared by
+    all paths.  Its lambda + mu is the per-site bound, and a proposal at
+    time t takes lambda * e^{c(L(t) - max L)} and mu * e^{c(min M - M(t))},
+    both factors <= 1.  Like every rate table, the envelope's must fit
+    the window (else RateOverflow).  Path i draws from its own
+    counter-based stream keyed by (seed, i), so it does not depend on
+    n_paths; a path that sits on a site whose bound is not samplable
+    raises DominatingRateOverflow.
     """
     ts = np.asarray(sample_times, dtype=float)
-    if len(ts) < 1 or (len(ts) > 1 and not np.all(np.diff(ts) > 0)):
-        raise ValueError("sample_times must be nonempty, strictly increasing")
+    if len(ts) < 1 or not np.isfinite(ts).all() or not np.all(np.diff(ts) > 0):
+        raise ValueError("sample_times must be nonempty, finite, strictly increasing")
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     window = p0.window
-    n_min, n_max = window.n_min, window.n_max
+    n_min = window.n_min
     c = params.c
-    betas = beta_array(params.beta, n_min - 1, n_max).tolist()
-    intervals = [
-        (t0, t1, _dominating_rates(betas, c, window, *path.envelope(t0, t1)))
-        for t0, t1 in zip(ts[:-1].tolist(), ts[1:].tolist())
-    ]
+    intervals = []
+    for t0, t1 in zip(ts[:-1].tolist(), ts[1:].tolist()):
+        L_max, M_min = path.envelope(t0, t1)
+        lam, mu = rate_arrays(params, L_max, M_min, window)
+        intervals.append(
+            (t0, t1, L_max, M_min, lam.tolist(), mu.tolist(), (lam + mu).tolist())
+        )
     # the CDF that rng.choice(sites, p=probs) builds on every call; one
     # uniform draw against it picks the same site
     probs = np.clip(p0.values, 0.0, None)
@@ -394,9 +382,10 @@ def sample_paths(
         rng = _path_rng(seed, i)
         pos = n_min + int(cdf.searchsorted(rng.random(), side="right"))
         out[i, 0] = pos
-        for k, (t, t_end, bounds) in enumerate(intervals, 1):
+        for k, (t, t_end, L_max, M_min, lam, mu, bounds) in enumerate(intervals, 1):
             while True:
-                R = bounds[pos - n_min]
+                j = pos - n_min
+                R = bounds[j]
                 if not math.isfinite(R) or R > 1e12:
                     raise DominatingRateOverflow(
                         f"dominating rate {R:g} at site {pos} not samplable"
@@ -407,20 +396,11 @@ def sample_paths(
                 if t >= t_end:
                     break
                 L_t, M_t = path.at(t)
-                lam = (
-                    betas[pos - n_min + 1] * math.exp(-c * (pos - L_t))
-                    if pos < n_max
-                    else 0.0
-                )
-                mu = (
-                    betas[pos - n_min] * math.exp(c * (pos - M_t))
-                    if pos > n_min
-                    else 0.0
-                )
                 u = rng.random() * R
-                if u < lam:
+                up = lam[j] * math.exp(c * (L_t - L_max))
+                if u < up:
                     pos += 1
-                elif u < lam + mu:
+                elif u < up + mu[j] * math.exp(c * (M_min - M_t)):
                     pos -= 1
             out[i, k] = pos
     return out

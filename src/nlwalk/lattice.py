@@ -52,7 +52,6 @@ class Window:
 class LatticeMeasure:
     window: Window
     values: np.ndarray = field(repr=False)
-    is_probability: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -61,11 +60,10 @@ class LatticeMeasure:
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite entries in lattice values")
         object.__setattr__(self, "values", v)
-        if self.is_probability:
-            if v.min() < -PROB_TOL:
-                raise ValueError(f"negative mass {v.min():g} beyond tolerance")
-            if abs(v.sum() - 1.0) > PROB_TOL:
-                raise ValueError(f"total mass {v.sum()!r} not within {PROB_TOL} of 1")
+        if v.min() < -PROB_TOL:
+            raise ValueError(f"negative mass {v.min():g} beyond tolerance")
+        if abs(v.sum() - 1.0) > PROB_TOL:
+            raise ValueError(f"total mass {v.sum()!r} not within {PROB_TOL} of 1")
 
     @classmethod
     def delta(cls, n: int, window: Window) -> "LatticeMeasure":

@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import SystemState, TrajectoryLog
-from .errors import CNotOne
 from .lattice import LatticeMeasure, mean_position
 from .model import (
     ModelParams,
@@ -65,10 +64,8 @@ def entropy_H(p: LatticeMeasure, s: float, c: float) -> float:
     return float(np.sum(v[nz] * (np.log(v[nz]) + c * (s - n[nz]) ** 2)))
 
 
-def W_value(state: SystemState, K: float, c: float = 1.0, certified: bool = True) -> float:
+def W_value(state: SystemState, K: float, c: float = 1.0) -> float:
     """W = H + 2Ks - 3s^2 (the proof setting is c = 1)."""
-    if certified and c != 1.0:
-        raise CNotOne("the Lyapunov function W is certified only at c = 1")
     s = state.s
     return entropy_H(state.p, s, c) + 2.0 * K * s - 3.0 * s * s
 
@@ -79,7 +76,7 @@ def annotate(params: ModelParams, log: TrajectoryLog) -> TrajectoryLog:
     for s in log.samples:
         s.Q = Q_value(params, s.state)
         s.H = entropy_H(s.state.p, s.state.s, params.c)
-        s.W = W_value(s.state, K0, c=params.c, certified=False)
+        s.W = W_value(s.state, K0, c=params.c)
     return log
 
 

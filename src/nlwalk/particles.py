@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -142,7 +142,6 @@ def run_particles(
     dt: float,
     seed: int,
     n_samples: int = 51,
-    sample_times: Optional[Sequence[float]] = None,
 ) -> ParticleLog:
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"need a finite t_final >= 0, got {t_final}")
@@ -150,14 +149,11 @@ def run_particles(
         raise ValueError(f"need a finite dt > 0, got {dt}")
     if n_particles < 1:
         raise ValueError(f"need n_particles >= 1, got {n_particles}")
-    if sample_times is None and n_samples < 1:
+    if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     ens = Ensemble.from_measure(params, p0, L0, M0, n_particles, rng)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_final, n_samples)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
+    sample_times = np.linspace(0.0, t_final, n_samples)
 
     log = ParticleLog(params, p0.window, n_particles, seed)
 
@@ -166,10 +162,8 @@ def run_particles(
             ParticleSample(ens.t, ens.L, ens.M, ens.K_N(), ens.histogram())
         )
 
-    next_i = 0
-    if math.isclose(sample_times[0], 0.0, abs_tol=1e-15):
-        record()
-        next_i = 1
+    record()
+    next_i = 1
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     for k in range(n_steps):
         t_target = min((k + 1) * dt, t_final)

@@ -2,6 +2,7 @@
 acceptance suite use."""
 
 import ast
+import importlib.util
 import re
 import types
 from pathlib import Path
@@ -34,3 +35,16 @@ def test_every_public_name_has_a_user():
     ]
     unused = [n for n in public if n not in used and not re.search(rf"\b{n}\b", readme)]
     assert public and not unused, f"exported but unused: {unused}"
+
+
+def test_bench_tracer_installs():
+    # the benchmark's tracer wraps library functions by attribute; its own
+    # tests are slow and run apart, so a renamed or dropped attribute it
+    # binds to is caught here
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    rate_arrays = nlwalk.kernel.rate_arrays
+    with tracer.Tracer(0).installed():
+        assert nlwalk.kernel.rate_arrays is not rate_arrays
+    assert nlwalk.kernel.rate_arrays is rate_arrays

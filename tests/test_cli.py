@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import textwrap
@@ -229,11 +230,20 @@ class TestOtherCommands:
         ) == 0
         assert (out_a / "paths.csv").read_bytes() != (out_b / "paths.csv").read_bytes()
 
-    @pytest.mark.parametrize("start", [720, 30])
-    def test_sample_paths_unsamplable_start(self, tmp_path, capsys, start):
-        # at site 720 the thinning bound's exponent overflows; at site 30
-        # the bound is finite but beyond what the sampler accepts
-        text = BASE.replace("m = 12", "m = 730").replace(
+    @pytest.mark.parametrize(
+        "start, m, messages",
+        [
+            (720, 730, ["rate exponent out of range on window"]),
+            (0, 730, ["rate exponent out of range on window"]),
+            (30, 40, ["dominating rate", "at site 30 "]),
+        ],
+        ids=["720", "0", "30"],
+    )
+    def test_sample_paths_unsamplable_start(self, tmp_path, capsys, start, m, messages):
+        # on [-730, 730] the envelope's rate table leaves exp's range,
+        # wherever the paths start; on [-40, 40] the bound at site 30
+        # (1.6e13) is finite but beyond what the sampler accepts
+        text = BASE.replace("m = 12", f"m = {m}").replace(
             "p = delta:0", f"p = delta:{start}"
         ) + textwrap.dedent(
             """
@@ -246,7 +256,7 @@ class TestOtherCommands:
         cfg = write_config(tmp_path, text)
         assert main(["sample-paths", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
-        assert "dominating rate" in err and f"at site {start} " in err
+        assert all(message in err for message in messages)
 
     def test_particles(self, tmp_path):
         text = BASE + textwrap.dedent(
@@ -367,3 +377,60 @@ class TestOtherCommands:
         payload = json.loads((out / "diagnose.json").read_text())
         assert payload["W_violations"] >= 1
         assert payload["verdict"] == "violations"
+
+
+# every section a command below reads, with valid values
+SECTIONS = BASE.replace("m = 12", "m = 8") + """
+[paths]
+n_paths = 5
+sample_times = 0.0, 0.5
+path = constant
+
+[kernel]
+t0 = 0.0
+t1 = 0.1
+substeps = 10
+path = constant
+
+[solve]
+s = 0.0
+k = 0.0
+"""
+
+
+BAD_INPUTS = [
+    ("sample-paths", "paths", {"sample_times": "1.0, 0.5"}),
+    ("sample-paths", "paths", {"sample_times": "0.0, x"}),
+    ("sample-paths", "paths", {"sample_times": "0.0, inf"}),
+    ("sample-paths", "paths", {"n_paths": "-3"}),
+    ("kernel-check", "kernel", {"t0": "1", "t1": "0.5"}),
+    ("kernel-check", "kernel", {"substeps": "0"}),
+    ("kernel-check", "kernel", {"k_max": "-1"}),
+    ("kernel-check", "kernel", {"splits": "abc"}),
+    ("fixed-point", "solve", {"s": "nan"}),
+    ("solve-s", "solve", {"k": "inf"}),
+    ("simulate", "run", {"t_final": "-1"}),
+    ("simulate", "run", {"t_final": "nan"}),
+    ("simulate", "run", {"t_final": "inf"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, section, values",
+    BAD_INPUTS,
+    ids=[
+        "-".join([command, *(f"{k}={v}".replace(" ", "") for k, v in values.items())])
+        for command, _, values in BAD_INPUTS
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, command, section, values):
+    # an invalid or non-finite input value is a config error, never a
+    # traceback or a run that writes NaN or infinite times
+    parser = configparser.ConfigParser()
+    parser.read_string(SECTIONS)
+    parser.read_dict({section: values})
+    cfg = tmp_path / "bad.ini"
+    with cfg.open("w") as fh:
+        parser.write(fh)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -234,6 +234,34 @@ class TestSamplePaths:
         )
         assert walks.min() >= w.n_min and walks.max() <= w.n_max
 
+    @given(
+        n_min=st.integers(-6, 6),
+        size=st.integers(3, 8),
+        c=st.floats(0.5, 1.5),
+        gaps=st.lists(st.floats(0.05, 0.5), max_size=3),
+        L_values=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        M_values=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_offset_windows_and_prefix_runs(
+        self, n_min, size, c, gaps, L_values, M_values, seed
+    ):
+        # piecewise-linear paths on small windows off the origin: every
+        # position stays on the window, and path i does not depend on
+        # n_paths, so a k-path run is the first k rows of an n-path run
+        times = np.concatenate(([0.0], np.cumsum(gaps)))
+        k = len(times)
+        path = FrozenPath(times, np.array(L_values[:k]), np.array(M_values[:k]))
+        w = Window(n_min, size)
+        p0 = LatticeMeasure.normalized(w, np.ones(size))
+        params = ModelParams(c=c)
+        sample_times = [0.0, 0.3, 0.8, 1.2]
+        walks = sample_paths(params, path, p0, sample_times, 12, seed=seed)
+        assert walks.min() >= w.n_min and walks.max() <= w.n_max
+        prefix = sample_paths(params, path, p0, sample_times, 5, seed=seed)
+        assert np.array_equal(walks[:5], prefix)
+
     def test_marginal_matches_dynamics(self):
         w = Window.symmetric(12)
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)
