@@ -93,6 +93,25 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key}: {e}") from e
         return v
 
+    def getlist(self, section, key, kind=float, default=None) -> list:
+        """Comma-separated finite values of one kind; a blank value is the
+        empty list.  A missing key gives `default`, or is an error when
+        `default` is None."""
+        if default is None:
+            raw = self.require(section, key)
+        else:
+            raw = self.get(section, key, default)
+        if not raw.strip():
+            return []
+        try:
+            values = [kind(tok) for tok in raw.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {key}: {e}") from e
+        for v in values:
+            if not math.isfinite(v):
+                raise ConfigError(f"[{section}] {key}: must be finite, got {v}")
+        return values
+
     def require(self, section, key, kind=str):
         if not self._p.has_option(section, key):
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
@@ -109,10 +128,8 @@ class RunConfig:
             if kind == "constant":
                 beta = ConstantBeta(self.getfloat("model", "beta_value", 1.0))
             elif kind == "table":
-                raw = self.require("model", "beta_table")
-                values = tuple(float(x) for x in raw.split(","))
                 beta = TableBeta(
-                    values=values,
+                    values=tuple(self.getlist("model", "beta_table")),
                     n_min=self.getint("model", "beta_table_start", 0),
                     left=self.getfloat("model", "beta_left", None),
                     right=self.getfloat("model", "beta_right", None),
@@ -156,11 +173,10 @@ class RunConfig:
                 s = float(spec.split(":", 1)[1])
                 p0 = discrete_gaussian(self.params.c, s, self.window)
             elif spec == "table":
-                raw = self.require("initial", "p_table")
                 start = self.getint("initial", "p_table_start", self.window.n_min)
                 vals = np.zeros(self.window.size)
-                for i, x in enumerate(raw.split(",")):
-                    vals[self.window.index(start + i)] = float(x)
+                for i, x in enumerate(self.getlist("initial", "p_table")):
+                    vals[self.window.index(start + i)] = x
                 p0 = LatticeMeasure.normalized(self.window, vals)
             else:
                 raise ConfigError(f"unknown initial measure spec {spec!r}")
@@ -335,17 +351,21 @@ def _frozen_path(cfg: RunConfig, section: str) -> kernel_mod.FrozenPath:
 
 def cmd_kernel_check(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    path = _frozen_path(cfg, "kernel")
     t0 = cfg.getfloat("kernel", "t0", 0.0)
     t1 = cfg.getfloat("kernel", "t1", 1.0)
     substeps = cfg.getint("kernel", "substeps", 50)
-    P = kernel_mod.propagate(cfg.params, path, t0, t1, cfg.window, substeps)
-    splits_raw = cfg.get("kernel", "splits", "")
-    ck_dev = 0.0
-    for tok in filter(None, (x.strip() for x in splits_raw.split(","))):
-        tm = float(tok)
+    splits = cfg.getlist("kernel", "splits", float, "")
+    for tm in splits:
         if not t0 < tm < t1:
-            raise ConfigError(f"split time {tm} outside ({t0}, {t1})")
+            raise ConfigError(f"[kernel] splits: {tm} outside ({t0}, {t1})")
+    k_maxes = cfg.getlist("kernel", "k_max", int, "")
+    for k in k_maxes:
+        if k < 0:
+            raise ConfigError(f"[kernel] k_max: must be >= 0, got {k}")
+    path = _frozen_path(cfg, "kernel")
+    P = kernel_mod.propagate(cfg.params, path, t0, t1, cfg.window, substeps)
+    ck_dev = 0.0
+    for tm in splits:
         frac = (tm - t0) / (t1 - t0)
         sub_a = max(1, round(substeps * frac))
         A = kernel_mod.propagate(cfg.params, path, t0, tm, cfg.window, sub_a)
@@ -359,10 +379,8 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
         "min_entry": P.min_entry(),
         "ck_deviation": ck_dev,
     }
-    k_raw = cfg.get("kernel", "k_max", "")
     dyson = []
-    for tok in filter(None, (x.strip() for x in k_raw.split(","))):
-        k = int(tok)
+    for k in k_maxes:
         approx, bound = kernel_mod.dyson_series(
             cfg.params, path, t0, t1, cfg.window, k
         )
@@ -382,8 +400,7 @@ def cmd_sample_paths(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     path = _frozen_path(cfg, "paths")
     n_paths = cfg.getint("paths", "n_paths", 1000)
-    raw = cfg.get("paths", "sample_times", "0.0,1.0")
-    ts = [float(x) for x in raw.split(",")]
+    ts = cfg.getlist("paths", "sample_times", float, "0.0,1.0")
     state0 = cfg.initial_state()
     walks = kernel_mod.sample_paths(
         cfg.params, path, state0.p, ts, n_paths, _seed(cfg, args)

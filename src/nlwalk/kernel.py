@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Sequence, Tuple
 
@@ -59,8 +58,6 @@ class FrozenPath:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "L_values", L)
         object.__setattr__(self, "M_values", M)
-        # knot lists for `at`, which runs on every thinning proposal
-        object.__setattr__(self, "_knots", (t.tolist(), L.tolist(), M.tolist()))
 
     @classmethod
     def constant(cls, L: float, M: float) -> "FrozenPath":
@@ -76,27 +73,20 @@ class FrozenPath:
         )
 
     def at(self, t: float) -> Tuple[float, float]:
-        """(L(t), M(t)), bit-identical to np.interp on the knots: end
-        values outside the range, the knot value on a knot, otherwise
-        slope*(t - t_j) + y_j with slope = (y_{j+1} - y_j)/(t_{j+1} - t_j)."""
-        ts, Ls, Ms = self._knots
-        j = bisect_right(ts, t) - 1
-        if j < 0:
-            return Ls[0], Ms[0]
-        if j == len(ts) - 1 or ts[j] == t:
-            return Ls[j], Ms[j]
-        dt = ts[j + 1] - ts[j]
-        x = t - ts[j]
+        """(L(t), M(t)): linear between knots, the end values outside."""
         return (
-            (Ls[j + 1] - Ls[j]) / dt * x + Ls[j],
-            (Ms[j + 1] - Ms[j]) / dt * x + Ms[j],
+            float(np.interp(t, self.times, self.L_values)),
+            float(np.interp(t, self.times, self.M_values)),
         )
 
     def envelope(self, t0: float, t1: float) -> Tuple[float, float]:
         """(max L, min M) over [t0, t1] (piecewise-linear => knots suffice)."""
-        knots = [t0, t1] + [t for t in self._knots[0] if t0 < t < t1]
-        Ls, Ms = zip(*(self.at(t) for t in knots))
-        return max(Ls), min(Ms)
+        inner = self.times[(self.times > t0) & (self.times < t1)]
+        knots = np.concatenate(([t0, t1], inner))
+        return (
+            float(np.interp(knots, self.times, self.L_values).max()),
+            float(np.interp(knots, self.times, self.M_values).min()),
+        )
 
 
 @dataclass(frozen=True)
@@ -323,13 +313,15 @@ def kernel_weighted_distance(a: Kernel, b: Kernel, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # path sampler (thinning against a per-site dominating rate)
 
+# Paths are advanced this many at a time.  Every draw is addressed by
+# (seed, path, interval, proposal), so the chunk size changes no output;
+# it only caps the size of the per-round arrays.
+PATH_CHUNK = 4096
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based streams: reproducible per (seed, path index) regardless
-    # of scheduling
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits, as Generator.random."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def sample_paths(
@@ -351,10 +343,15 @@ def sample_paths(
     all paths.  Its lambda + mu is the per-site bound, and a proposal at
     time t takes lambda * e^{c(L(t) - max L)} and mu * e^{c(min M - M(t))},
     both factors <= 1.  Like every rate table, the envelope's must fit
-    the window (else RateOverflow).  Path i draws from its own
-    counter-based stream keyed by (seed, i), so it does not depend on
-    n_paths; a path that sits on a site whose bound is not samplable
-    raises DominatingRateOverflow.
+    the window (else RateOverflow).  A path that sits on a site whose
+    bound is not samplable raises DominatingRateOverflow.
+
+    Paths advance together in rounds, one proposal per active path per
+    round.  Path i's start draw is the Philox block at counter (i, 0, 0, 0)
+    and its r-th proposal on interval k = 1, 2, ... the block at
+    (i, k, r, 0), under one key per seed; word 0 gives the waiting time,
+    word 1 the up/down test.  So path i depends only on (seed, i), not on
+    n_paths or on other paths.
     """
     ts = np.asarray(sample_times, dtype=float)
     if len(ts) < 1 or not np.isfinite(ts).all() or not np.all(np.diff(ts) > 0):
@@ -368,41 +365,57 @@ def sample_paths(
     for t0, t1 in zip(ts[:-1].tolist(), ts[1:].tolist()):
         L_max, M_min = path.envelope(t0, t1)
         lam, mu = rate_arrays(params, L_max, M_min, window)
-        intervals.append(
-            (t0, t1, L_max, M_min, lam.tolist(), mu.tolist(), (lam + mu).tolist())
-        )
-    # the CDF that rng.choice(sites, p=probs) builds on every call; one
-    # uniform draw against it picks the same site
+        intervals.append((t0, t1, L_max, M_min, lam, mu, lam + mu))
+    # the CDF that rng.choice(sites, p=probs) builds; one uniform against
+    # it picks a site
     probs = np.clip(p0.values, 0.0, None)
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
 
+    bitgen = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    state = bitgen.state
+
+    def blocks(first: int, count: int, k: int, r: int) -> np.ndarray:
+        """(count, 4) words: the blocks of paths first .. first+count-1."""
+        state["state"]["counter"] = np.array([first, k, r, 0], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        return bitgen.random_raw(4 * count).reshape(count, 4)
+
     out = np.empty((n_paths, len(ts)), dtype=int)
-    for i in range(n_paths):
-        rng = _path_rng(seed, i)
-        pos = n_min + int(cdf.searchsorted(rng.random(), side="right"))
-        out[i, 0] = pos
-        for k, (t, t_end, L_max, M_min, lam, mu, bounds) in enumerate(intervals, 1):
-            while True:
-                j = pos - n_min
+    for i0 in range(0, n_paths, PATH_CHUNK):
+        n = min(PATH_CHUNK, n_paths - i0)
+        pos = n_min + cdf.searchsorted(_unit(blocks(i0, n, 0, 0)[:, 0]), side="right")
+        out[i0:i0 + n, 0] = pos
+        for k, (t0, t1, L_max, M_min, lam, mu, bounds) in enumerate(intervals, 1):
+            idx = np.arange(n)  # active paths, ascending
+            t = np.full(n, t0)
+            r = 0
+            while idx.size:
+                j = pos[idx] - n_min
                 R = bounds[j]
-                if not math.isfinite(R) or R > 1e12:
+                bad = ~(R <= 1e12)
+                if bad.any():
+                    b = np.flatnonzero(bad)[0]
                     raise DominatingRateOverflow(
-                        f"dominating rate {R:g} at site {pos} not samplable"
+                        f"dominating rate {R[b]:g} at site {n_min + j[b]} not samplable"
                     )
-                if R <= 0.0:
-                    break
-                t += rng.exponential(1.0 / R)
-                if t >= t_end:
-                    break
-                L_t, M_t = path.at(t)
-                u = rng.random() * R
-                up = lam[j] * math.exp(c * (L_t - L_max))
-                if u < up:
-                    pos += 1
-                elif u < up + mu[j] * math.exp(c * (M_min - M_t)):
-                    pos -= 1
-            out[i, k] = pos
+                live = R > 0.0
+                if not live.all():
+                    idx, t, j, R = idx[live], t[live], j[live], R[live]
+                    if not idx.size:
+                        break
+                words = blocks(i0 + int(idx[0]), int(idx[-1] - idx[0]) + 1, k, r)
+                rows = idx - idx[0]
+                t = t - np.log1p(-_unit(words[rows, 0])) / R
+                live = t < t1
+                idx, t, j, R, rows = idx[live], t[live], j[live], R[live], rows[live]
+                u = _unit(words[rows, 1]) * R
+                up = lam[j] * np.exp(c * (np.interp(t, path.times, path.L_values) - L_max))
+                down = mu[j] * np.exp(c * (M_min - np.interp(t, path.times, path.M_values)))
+                pos[idx] += (u < up).astype(int) - ((u >= up) & (u < up + down))
+                r += 1
+            out[i0:i0 + n, k] = pos
     return out
 
 

@@ -118,6 +118,10 @@ class ModelParams:
             raise InvalidProfile(f"C_lambda must be positive, got {self.C_lambda}")
         if not self.C_mu > 0:
             raise InvalidProfile(f"C_mu must be positive, got {self.C_mu}")
+        if isinstance(self.beta, LinearDriftBeta) and self.beta.c != self.c:
+            raise InvalidProfile(
+                f"linear-drift beta has c = {self.beta.c}, the model c = {self.c}"
+            )
 
     @property
     def mean_reverting(self) -> bool:

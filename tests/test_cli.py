@@ -425,7 +425,8 @@ BAD_INPUTS = [
 )
 def test_bad_input_exits_2(tmp_path, capsys, command, section, values):
     # an invalid or non-finite input value is a config error, never a
-    # traceback or a run that writes NaN or infinite times
+    # traceback or a run that writes NaN or infinite times; a list entry
+    # that does not parse is reported with its key
     parser = configparser.ConfigParser()
     parser.read_string(SECTIONS)
     parser.read_dict({section: values})
@@ -433,4 +434,7 @@ def test_bad_input_exits_2(tmp_path, capsys, command, section, values):
     with cfg.open("w") as fh:
         parser.write(fh)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if values in ({"sample_times": "0.0, x"}, {"splits": "abc"}, {"k_max": "-1"}):
+        assert f"[{section}] {next(iter(values))}" in err

@@ -129,6 +129,8 @@ class TestRhsSd:
     def test_bit_equal_to_inline_formula(self, beta):
         # the truncated generator written out from beta and exp
         for c in (1.0, 0.7, 1.3):
+            if isinstance(beta, LinearDriftBeta):
+                beta = LinearDriftBeta(slope=beta.slope, c=c)  # must match
             params = ModelParams(c=c, beta=beta)
             for w in (Window.symmetric(25), Window.symmetric(5), Window(3, 20)):
                 r = np.random.default_rng(w.size)
@@ -378,9 +380,10 @@ def _splitting_cases(draw):
     window = Window(n_min, size)
     C_lambda = draw(st.floats(0.5, 2.0))
     C_mu = draw(st.one_of(st.just(C_lambda), st.floats(0.5, 2.0)))
-    params = ModelParams(
-        c=c, C_lambda=C_lambda, C_mu=C_mu, beta=draw(st.sampled_from(PROFILES))
-    )
+    beta = draw(st.sampled_from(PROFILES))
+    if isinstance(beta, LinearDriftBeta):
+        beta = LinearDriftBeta(slope=beta.slope, c=c)  # must match the model's c
+    params = ModelParams(c=c, C_lambda=C_lambda, C_mu=C_mu, beta=beta)
     state0 = SystemState(
         p=LatticeMeasure.delta(draw(st.integers(n_min, n_min + size - 1)), window),
         L=draw(st.floats(-2.0, 2.0)),

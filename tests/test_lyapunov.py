@@ -71,6 +71,8 @@ class TestQ:
     def test_bit_equal_to_inline_formula(self, beta):
         # Q written out from beta and exp, as Q_value once computed it
         for c in (1.0, 0.7, 1.3):
+            if isinstance(beta, LinearDriftBeta):
+                beta = LinearDriftBeta(slope=beta.slope, c=c)  # must match
             params = ModelParams(c=c, beta=beta)
             for w in (Window.symmetric(25), Window.symmetric(5), Window(3, 20)):
                 r = np.random.default_rng(w.size)

@@ -91,6 +91,13 @@ class TestConditions:
         holds, sup = check_beta_bounded(prof, Window.symmetric(10))
         assert holds and sup == 5.0
 
+    def test_linear_drift_c_must_match_model(self):
+        ModelParams(c=0.5, beta=LinearDriftBeta(slope=2.0, c=0.5))
+        with pytest.raises(InvalidProfile):
+            ModelParams(c=0.7, beta=LinearDriftBeta(slope=2.0, c=0.5))
+        with pytest.raises(InvalidProfile):
+            ModelParams(beta=LinearDriftBeta(c=1.5))
+
     def test_beta_bounded_linear_drift_flags_growth(self):
         # profile peaks inside the window; sup is attained at the interior
         # maximum, not the edges
@@ -204,7 +211,8 @@ class TestRateArrays:
 
     @pytest.mark.parametrize("truncated", [True, False])
     @pytest.mark.parametrize(
-        "beta", [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()]
+        "beta",
+        [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta(c=0.7)],
     )
     def test_bit_equal_to_uncached_formula(self, beta, truncated):
         params = ModelParams(c=0.7, beta=beta)
