@@ -379,15 +379,16 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
         "min_entry": P.min_entry(),
         "ck_deviation": ck_dev,
     }
-    dyson = []
-    for k in k_maxes:
-        approx, bound = kernel_mod.dyson_series(
-            cfg.params, path, t0, t1, cfg.window, k
-        )
-        dist = kernel_mod.kernel_weighted_distance(approx, P, cfg.params.alpha)
-        dyson.append({"k_max": k, "distance": dist, "remainder_bound": bound})
-    if dyson:
-        payload["dyson"] = dyson
+    if k_maxes:
+        sums = kernel_mod.dyson_series(cfg.params, path, t0, t1, cfg.window, k_maxes)
+        payload["dyson"] = [
+            {
+                "k_max": k,
+                "distance": kernel_mod.kernel_weighted_distance(approx, P, cfg.params.alpha),
+                "remainder_bound": bound,
+            }
+            for k, (approx, bound) in zip(k_maxes, sums)
+        ]
     with (out / "kernel.csv").open("w", newline="") as fh:
         kernel_mod.write_kernel_csv(P, fh)
     _write_json(out / "kernel_check.json", payload, cfg)

@@ -54,7 +54,7 @@ class PositivityLost(NumericalError):
 
 
 class UniformizationOverflow(NumericalError):
-    """Dominating rate times substep length too large for uniformization."""
+    """Dominating rate times span too large for the jump-count series."""
 
 
 class NonConstantPath(NlwalkError):

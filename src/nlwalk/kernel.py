@@ -1,8 +1,14 @@
 """Transition kernels of the walk along a frozen (L, M) path.
 
-The production route builds P(t0, t1) as a product of per-substep
-uniformization kernels (probability preserving by construction).  The
-oracle route evaluates the jump-count series: the k-jump term of the
+The production route builds P(t0, t1) as a fixed-order product of
+per-substep exponentials exp(tau G), each with the generator frozen at
+the substep midpoint.  One exponential is a nonnegative scaling and
+squaring whose diagonal is closed by the off-diagonal row sums (the
+Grassmann-Taksar-Heyman idea): no subtraction ever cancels, so every
+entry keeps full relative accuracy and the rows sum to 1 to roundoff,
+however large lambda_dom * tau is.  It runs on the README window.
+
+The oracle route evaluates the jump-count series: the k-jump term of the
 time-ordered expansion, summed up to k_max, with an a-priori remainder
 bound (||V|| (t1-t0))^{k_max+1}/(k_max+1)! * exp(||V|| (t1-t0)) in the
 weighted operator norm.
@@ -13,7 +19,9 @@ G_{m,j} = G_{m-1,j} W0 + G_{m-1,j-1} U over Poisson-weighted words in the
 diagonal part W0 = I + H0/Lam and the off-diagonal part U = V/Lam.  All
 quantities are nonnegative, so even very small far-off-diagonal entries
 keep full relative accuracy (a closed-form convolution of exponentials
-suffers catastrophic cancellation there).
+suffers catastrophic cancellation there).  It runs that many Poisson
+terms, so it is a narrow-window oracle: beyond lambda_dom * tau =
+DYSON_LIMIT it raises UniformizationOverflow.
 """
 
 from __future__ import annotations
@@ -21,19 +29,25 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence, Tuple
+from typing import IO, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
     DominatingRateOverflow,
     NonConstantPath,
+    RateOverflow,
     UniformizationOverflow,
 )
 from .lattice import LatticeMeasure, Window, log_plus_weights
 from .model import ModelParams, rate_arrays
 
+# lambda_dom * tau above which e^{-lambda_dom tau} underflows; the scale
+# against which the benchmark tracer reports each substep's stiffness
 UNIFORMIZATION_LIMIT = 700.0
+# lambda_dom * tau above which dyson_series refuses: it runs about that
+# many Poisson terms (about 3 s at k_max = 6 on 21 sites at the limit)
+DYSON_LIMIT = 1e5
 PMF_TAIL = 1e-15
 
 
@@ -198,6 +212,62 @@ def _poisson_pmf(lam: float) -> np.ndarray:
     return pmf
 
 
+# Substep exponentials are squared from a base step h with h * max rate
+# <= 2^-10: hG has row norm <= 2^-9, so the degree-7 Taylor remainder is
+# below 2^-72 / 8! (about 5e-27).
+_BASE_STEP_LOG2 = 10
+_TAYLOR_DEGREE = 7
+
+
+def _transition_matrix(lam: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarray:
+    """exp(tau G) of the tridiagonal generator with up-rates lam and
+    down-rates mu (lam[-1] = mu[0] = 0, so the rows of G sum to 0).
+
+    With s = max(0, ceil(log2(tau * max(lam + mu) * 2^10))) and
+    h = tau / 2^s, the base matrix is the degree-7 Taylor polynomial of
+    hG with its off-diagonals clipped at 0 and its diagonal closed as
+    1 - (off-diagonal row sum).  It is squared s times.  After each
+    squaring, a row whose diagonal exceeds 1/2 gets its diagonal closed
+    again; any other row is divided by its sum.  Every entry is a sum of
+    nonnegative products, so small entries keep full relative accuracy.
+    """
+    n = len(lam)
+    eye = np.eye(n)
+    span = float((lam + mu).max()) * tau
+    if span == 0.0:
+        return eye
+    if not math.isfinite(span):
+        raise RateOverflow(f"dominating rate * substep = {span:g} is not finite")
+    s = max(0, math.ceil(math.log2(span) + _BASE_STEP_LOG2))
+    h = math.ldexp(tau, -s)
+    A = np.diag(-h * (lam + mu)) + np.diag(h * lam[:-1], 1) + np.diag(h * mu[1:], -1)
+    P = eye
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        P = eye + (A @ P) / k
+    # squarings ping-pong between two buffers; diags[i] views bufs[i]'s
+    # diagonal
+    bufs = (P, np.empty_like(P))
+    diags = tuple(b.reshape(-1)[:: n + 1] for b in bufs)
+    diags[0][:] = 0.0
+    np.maximum(P, 0.0, out=P)
+    off = P.sum(axis=1)
+    np.subtract(1.0, off, out=diags[0])
+    d = np.empty(n)
+    for i in range(s):
+        src, P, dP = bufs[i % 2], bufs[1 - i % 2], diags[1 - i % 2]
+        np.matmul(src, src, out=P)
+        d[:] = dP
+        dP[:] = 0.0
+        P.sum(axis=1, out=off)
+        if d.min() > 0.5:
+            np.subtract(1.0, off, out=dP)
+        else:
+            closed = d > 0.5
+            dP[:] = np.where(closed, 1.0 - off, d)
+            P /= np.where(closed, 1.0, off + d)[:, None]
+    return P
+
+
 def propagate(
     params: ModelParams,
     path: FrozenPath,
@@ -206,35 +276,29 @@ def propagate(
     window: Window,
     substeps: int = 1,
 ) -> Kernel:
-    """P(t0, t1) as a fixed-order product of per-substep uniformization
-    kernels, each built from the generator frozen at the substep midpoint."""
+    """P(t0, t1) as a fixed-order product of per-substep exponentials,
+    each with the generator frozen at the substep midpoint.  All substeps
+    have one length tau, and a substep whose frozen (L, M) equal the
+    previous substep's reuses its matrix, so on a constant path one
+    exponential serves every substep."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    n = window.size
-    P = np.eye(n)
+    P = np.eye(window.size)
     if t1 == t0:
         return Kernel(window=window, t0=t0, t1=t1, rows=P)
-    edges = np.linspace(t0, t1, substeps + 1)
+    edges = np.linspace(t0, t1, substeps + 1).tolist()
+    # one substep length for all: differences of the linspace edges
+    # wobble in the last bit and would defeat the reuse
+    tau = (t1 - t0) / substeps
+    frozen = None
     for a, b in zip(edges[:-1], edges[1:]):
-        tau = b - a
-        gen = generator_at(params, path, 0.5 * (a + b), window)
-        lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
-        if lam_dom * tau > UNIFORMIZATION_LIMIT:
-            raise UniformizationOverflow(
-                f"dominating rate * substep = {lam_dom * tau:g} > "
-                f"{UNIFORMIZATION_LIMIT:g}; increase substeps"
-            )
-        W = np.eye(n) + gen.as_matrix() / lam_dom
-        pmf = _poisson_pmf(lam_dom * tau)
-        P_sub = pmf[0] * np.eye(n)
-        power = np.eye(n)
-        for k in range(1, len(pmf)):
-            power = power @ W
-            if pmf[k] > 0.0:
-                P_sub += pmf[k] * power
-        P = P @ P_sub
+        L, M = path.at(0.5 * (a + b))
+        if frozen != (L, M):
+            frozen = (L, M)
+            step = _transition_matrix(*rate_arrays(params, L, M, window), tau)
+        P = P @ step
     return Kernel(window=window, t0=t0, t1=t1, rows=P)
 
 
@@ -255,42 +319,52 @@ def dyson_series(
     t0: float,
     t1: float,
     window: Window,
-    k_max: int,
-) -> Tuple[Kernel, float]:
-    """Partial sum of the jump-count series up to k_max jumps, plus the
-    remainder bound in the alpha-weighted operator norm."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    k_maxes: Sequence[int],
+) -> List[Tuple[Kernel, float]]:
+    """For each k_max in k_maxes, in order: the partial sum of the
+    jump-count series up to k_max jumps, plus the remainder bound in the
+    alpha-weighted operator norm.  The jump-count recursion runs once, up
+    to max(k_maxes); term j never reads a higher term, so each partial
+    sum equals the one a recursion stopped at its own k_max gives."""
+    if not k_maxes or min(k_maxes) < 0:
+        raise ValueError("k_maxes must be a nonempty list of ints >= 0")
     gen = _constant_generator(params, path, t0, t1, window)
     tau = t1 - t0
     n = window.size
     if tau == 0.0:
-        return Kernel(window=window, t0=t0, t1=t1, rows=np.eye(n)), 0.0
+        return [(Kernel(window=window, t0=t0, t1=t1, rows=np.eye(n)), 0.0) for _ in k_maxes]
 
     lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
+    if lam_dom * tau > DYSON_LIMIT:
+        raise UniformizationOverflow(
+            f"dyson_series: dominating rate * span = {lam_dom * tau:g} > "
+            f"{DYSON_LIMIT:g}; use a narrower window or a shorter span"
+        )
     w0 = 1.0 + gen.diag / lam_dom  # diagonal of W0, in [0, 1]
     U = np.zeros((n, n))
     U += np.diag(gen.upper, 1)
     U += np.diag(gen.lower, -1)
     U /= lam_dom
 
+    # G[j] and R[j] stacked: one batched update per Poisson term
     pmf = _poisson_pmf(lam_dom * tau)
-    G = [np.eye(n)] + [np.zeros((n, n)) for _ in range(k_max)]
-    R = [pmf[0] * np.eye(n)] + [np.zeros((n, n)) for _ in range(k_max)]
+    G = np.zeros((max(k_maxes) + 1, n, n))
+    G[0] = np.eye(n)
+    R = np.zeros_like(G)
+    R[0] = pmf[0] * np.eye(n)
     for m in range(1, len(pmf)):
-        for j in range(k_max, 0, -1):
-            G[j] = G[j] * w0[None, :] + G[j - 1] @ U
-        G[0] = G[0] * w0[None, :]
+        G[1:] = G[1:] * w0 + G[:-1] @ U
+        G[0] *= w0
         if pmf[m] > 0.0:
-            for j in range(k_max + 1):
-                R[j] += pmf[m] * G[j]
-    approx = sum(R[1:], R[0])
+            R += pmf[m] * G
 
-    v_norm = v_induced_norm(gen, params.alpha)
-    x = v_norm * tau
-    log_rem = (k_max + 1) * math.log(x) - math.lgamma(k_max + 2) + x if x > 0 else -math.inf
-    remainder = math.exp(log_rem) if log_rem > -700 else 0.0
-    return Kernel(window=window, t0=t0, t1=t1, rows=approx), remainder
+    x = v_induced_norm(gen, params.alpha) * tau
+    out = []
+    for k in k_maxes:
+        log_rem = (k + 1) * math.log(x) - math.lgamma(k + 2) + x if x > 0 else -math.inf
+        remainder = math.exp(log_rem) if log_rem > -700 else 0.0
+        out.append((Kernel(window=window, t0=t0, t1=t1, rows=sum(R[1:k + 1], R[0])), remainder))
+    return out
 
 
 def kernel_weighted_distance(a: Kernel, b: Kernel, alpha: float) -> float:
@@ -429,8 +503,14 @@ def write_kernel_csv(kernel: Kernel, fh: IO[str]) -> None:
 
 
 def write_paths_csv(paths: np.ndarray, sample_times: Sequence[float], fh: IO[str]) -> None:
-    w = csv.writer(fh)
-    w.writerow(["path_id", "t", "n"])
-    for i in range(paths.shape[0]):
-        for t, n in zip(sample_times, paths[i]):
-            w.writerow([i, repr(float(t)), int(n)])
+    """One row per (path, sample time), as csv.writer writes them: no field
+    needs quoting, and rows end in CRLF.  Written PATH_CHUNK paths at a
+    time, so the text in memory stays small."""
+    ts = [repr(float(t)) for t in sample_times]
+    fh.write("path_id,t,n\r\n")
+    for i0 in range(0, len(paths), PATH_CHUNK):
+        fh.write("".join(
+            f"{i},{t},{n}\r\n"
+            for i, row in enumerate(paths[i0:i0 + PATH_CHUNK].tolist(), i0)
+            for t, n in zip(ts, row)
+        ))

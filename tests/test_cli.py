@@ -2,6 +2,7 @@ import configparser
 import csv
 import json
 import textwrap
+import time
 
 import pytest
 
@@ -195,6 +196,47 @@ class TestOtherCommands:
         assert payload["row_sum_deficit"] < 1e-10
         for entry in payload["dyson"]:
             assert entry["distance"] < entry["remainder_bound"]
+
+    def test_kernel_check_readme_window(self, tmp_path):
+        # m = 25: edge rates near 1e11, along the dynamics path
+        text = BASE.replace("m = 12", "m = 25") + textwrap.dedent(
+            """
+            [kernel]
+            t0 = 0.0
+            t1 = 1.0
+            substeps = 50
+            splits = 0.2, 0.5, 0.8
+            path = dynamics
+            """
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "kernel_check.json").read_text())
+        assert payload["ck_deviation"] < 1e-8
+        assert payload["row_sum_deficit"] < 1e-10
+        assert payload["min_entry"] >= 0.0
+
+    def test_kernel_check_dyson_refuses_readme_window(self, tmp_path, capsys):
+        # the jump-count series would run about 2.6e10 Poisson terms here
+        # (dominating rate 2.6e11 over 0.1); it must refuse up front
+        text = BASE.replace("m = 12", "m = 25") + textwrap.dedent(
+            """
+            [kernel]
+            t0 = 0.0
+            t1 = 0.1
+            substeps = 10
+            k_max = 2, 4, 6
+            path = constant
+            """
+        )
+        cfg = write_config(tmp_path, text)
+        start = time.perf_counter()
+        assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dyson_series" in err
+        assert "Traceback" not in err
 
     def test_sample_paths_reproducible(self, tmp_path):
         text = BASE.replace("m = 12", "m = 8") + textwrap.dedent(

@@ -1,6 +1,9 @@
+import csv
 import hashlib
+import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,8 +28,9 @@ from nlwalk import (
     v_induced_norm,
     v_norm_bound,
 )
-from nlwalk.errors import NonConstantPath, UniformizationOverflow
-from nlwalk.kernel import PATH_CHUNK
+from nlwalk.errors import NonConstantPath, RateOverflow
+from nlwalk.kernel import PATH_CHUNK, _transition_matrix, write_paths_csv
+from nlwalk.model import ConstantBeta, rate_arrays
 
 PATH0 = FrozenPath.constant(1.3, -0.4)
 PARAMS = ModelParams()
@@ -117,9 +121,43 @@ class TestPropagate:
         B = propagate(PARAMS, PATH0, 0.3, 0.9, w, substeps=20)
         assert np.abs(A.rows @ B.rows - P.rows).max() < 1e-8
 
-    def test_overflow_guard(self):
-        with pytest.raises(UniformizationOverflow):
-            propagate(PARAMS, PATH0, 0.0, 1.0, Window.symmetric(25), substeps=1)
+    def test_substep_matches_mpmath_expm(self):
+        # exp(tau G) against a 60-digit reference, entrywise relative over
+        # the entries above 1e-200 (here all of them; the smallest is 7e-40)
+        lam, mu = rate_arrays(PARAMS, 1.3, -0.4, Window.symmetric(8))
+        tau = 0.02
+        P = _transition_matrix(lam, mu, tau)
+        n = len(lam)
+        with mpmath.workdps(60):
+            G = mpmath.zeros(n)
+            for i in range(n):
+                G[i, i] = -(mpmath.mpf(lam[i]) + mpmath.mpf(mu[i]))
+                if i + 1 < n:
+                    G[i, i + 1] = mpmath.mpf(lam[i])
+                if i > 0:
+                    G[i, i - 1] = mpmath.mpf(mu[i])
+            E = mpmath.expm(G * mpmath.mpf(tau))
+            ref = np.array([[float(E[i, j]) for j in range(n)] for i in range(n)])
+        big = ref > 1e-200
+        assert (np.abs(P[big] - ref[big]) / ref[big]).max() <= 1e-13
+
+    def test_readme_window(self):
+        # the README window: edge rates near 1e11, so dominating rate *
+        # substep is about 5e9
+        w = Window.symmetric(25)
+        P = propagate(PARAMS, PATH0, 0.0, 1.0, w, substeps=50)
+        A = propagate(PARAMS, PATH0, 0.0, 0.4, w, substeps=20)
+        B = propagate(PARAMS, PATH0, 0.4, 1.0, w, substeps=30)
+        assert P.max_row_sum_error() < 1e-10
+        assert P.min_entry() >= 0.0
+        assert np.abs(A.rows @ B.rows - P.rows).max() < 1e-8
+
+    def test_non_finite_rate_is_rate_overflow(self):
+        # beta * e^700 overflows to inf although every exponent is within
+        # the window rule; that is a numerical failure (exit 4), not a crash
+        params = ModelParams(beta=ConstantBeta(1e10))
+        with np.errstate(over="ignore"), pytest.raises(RateOverflow):
+            propagate(params, FrozenPath.constant(697.0, 0.0), 0.0, 1.0, Window.symmetric(3), 5)
 
     def test_continuity_in_span(self):
         # window kept small so the edge rates do not saturate the max-abs
@@ -158,33 +196,88 @@ class TestPropagate:
         marginal = LatticeMeasure.normalized(w, P.apply(state0.p))
         assert total_variation(marginal, log.final().p) < 1e-5
 
+    def test_forward_consistency_on_readme_window(self):
+        # the same check on the README window; its far sites hold mass
+        # below e^-25 over this span, so the m = 10 bound carries over
+        w = Window.symmetric(25)
+        state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)
+        log = integrate(
+            PARAMS, state0, 0.5,
+            IntegratorConfig(method="splitting", dt_init=2.5e-4, n_samples=51),
+        )
+        path = FrozenPath.from_log(log)
+        P = propagate(PARAMS, path, 0.0, 0.5, w, substeps=200)
+        marginal = LatticeMeasure.normalized(w, P.apply(state0.p))
+        assert total_variation(marginal, log.final().p) < 1e-5
+
+    @given(
+        m=st.integers(1, 10),
+        L=st.floats(-3.0, 3.0),
+        M=st.floats(-3.0, 3.0),
+        L1=st.floats(-3.0, 3.0),
+        M1=st.floats(-3.0, 3.0),
+        tau=st.floats(1e-3, 1.0),
+        substeps=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_expm_product(self, m, L, M, L1, M1, tau, substeps):
+        # a two-knot path over [0, substeps * tau]: the product of the
+        # substep exponentials, each frozen at its midpoint, as scipy's
+        # Pade expm computes it.  That reference is backward stable, so its
+        # own error grows like eps * ||hG||: against a 50-digit mpmath expm
+        # it is off by 3.3e-12 at m = 10, L = M = -3, tau = 1 (the closure
+        # by 2.2e-16).  The bound is 1e-12 plus that growth.
+        t1 = substeps * tau
+        path = FrozenPath(np.array([0.0, t1]), np.array([L, L1]), np.array([M, M1]))
+        w = Window.symmetric(m)
+        P = propagate(PARAMS, path, 0.0, t1, w, substeps=substeps)
+        ref = np.eye(w.size)
+        h = t1 / substeps
+        reference_growth = 0.0
+        for k in range(substeps):
+            gen = generator_at(PARAMS, path, (k + 0.5) * h, w)
+            ref = ref @ scipy.linalg.expm(gen.as_matrix() * h)
+            reference_growth += np.finfo(float).eps * gen.max_rate * h
+        assert P.min_entry() >= 0.0
+        assert P.max_row_sum_error() <= 1e-12
+        assert np.abs(P.rows - ref).max() <= 1e-12 + reference_growth
+
 
 class TestDyson:
     def test_requires_constant_path(self):
         moving = FrozenPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 0.0]))
         with pytest.raises(NonConstantPath):
-            dyson_series(PARAMS, moving, 0.0, 1.0, Window.symmetric(5), 2)
+            dyson_series(PARAMS, moving, 0.0, 1.0, Window.symmetric(5), [2])
 
     def test_zero_jump_term_is_survival(self):
         w = Window.symmetric(5)
         gen = generator_at(PARAMS, PATH0, 0.0, w)
-        approx, _ = dyson_series(PARAMS, PATH0, 0.0, 0.05, w, k_max=0)
+        [(approx, _)] = dyson_series(PARAMS, PATH0, 0.0, 0.05, w, k_maxes=[0])
         expected = np.diag(np.exp(gen.diag * 0.05))
         assert np.allclose(approx.rows, expected, rtol=1e-10, atol=1e-300)
 
     def test_matches_propagate_within_bound(self):
         w = Window.symmetric(8)
         ref = propagate(PARAMS, PATH0, 0.0, 0.1, w, substeps=10)
-        for k in (2, 4, 6):
-            approx, bound = dyson_series(PARAMS, PATH0, 0.0, 0.1, w, k)
+        for approx, bound in dyson_series(PARAMS, PATH0, 0.0, 0.1, w, (2, 4, 6)):
             assert kernel_weighted_distance(approx, ref, 0.0) < bound
 
     def test_remainder_superexponential(self):
         w = Window.symmetric(8)
-        bounds = [dyson_series(PARAMS, PATH0, 0.0, 0.1, w, k)[1] for k in (2, 4, 6, 8)]
+        bounds = [b for _, b in dyson_series(PARAMS, PATH0, 0.0, 0.1, w, (2, 4, 6, 8))]
         ratios = [a / b for a, b in zip(bounds[:-1], bounds[1:])]
         assert all(r > 1 for r in ratios)
         assert ratios[1] > ratios[0] and ratios[2] > ratios[1]
+
+    def test_shared_recursion_equals_separate_calls(self):
+        # one recursion up to max(k_maxes) gives each partial sum and
+        # bound bit for bit as a call for that k_max alone
+        w = Window.symmetric(5)
+        shared = dyson_series(PARAMS, PATH0, 0.0, 0.05, w, (4, 0, 2))
+        for k, (approx, bound) in zip((4, 0, 2), shared):
+            [(alone, alone_bound)] = dyson_series(PARAMS, PATH0, 0.0, 0.05, w, [k])
+            assert np.array_equal(approx.rows, alone.rows)
+            assert bound == alone_bound
 
 
 class TestSamplePaths:
@@ -294,6 +387,20 @@ class TestSamplePaths:
         long = sample_paths(*args, PATH_CHUNK + 50, seed=5)
         short = sample_paths(*args, PATH_CHUNK + 3, seed=5)
         assert np.array_equal(long[rows], short[rows])
+
+    def test_paths_csv_as_csv_writer(self):
+        # more rows than one chunk of paths
+        walks = np.random.default_rng(0).integers(-25, 26, size=(PATH_CHUNK + 3, 3))
+        times = [0.0, 1e-05, 0.1 + 0.2]
+        expected = io.StringIO()
+        w = csv.writer(expected)
+        w.writerow(["path_id", "t", "n"])
+        for i, row in enumerate(walks):
+            for t, n in zip(times, row):
+                w.writerow([i, repr(float(t)), int(n)])
+        got = io.StringIO()
+        write_paths_csv(walks, np.array(times), got)
+        assert got.getvalue() == expected.getvalue()
 
     def test_marginal_matches_dynamics(self):
         w = Window.symmetric(12)
