@@ -439,7 +439,8 @@ def cmd_particles(cfg: RunConfig, args) -> int:
     _write_json(
         out / "particles.json",
         {"n": n, "dt": dt, "t_final": T, "seed": seed,
-         "L_final": fin.L, "M_final": fin.M, "K_N_final": fin.K_N},
+         "L_final": fin.L, "M_final": fin.M, "K_N_final": fin.K_N,
+         "steps": log.steps, "max_rate_dt": log.max_rate_dt},
         cfg,
     )
     print(f"particles: N={n} L(T)={fin.L:g} M(T)={fin.M:g}")

@@ -156,6 +156,19 @@ def beta_array(profile: BetaProfile, n_lo: int, n_hi: int) -> np.ndarray:
     return out
 
 
+def check_rate_exponents(params: ModelParams, L: float, M: float, window: Window) -> None:
+    """Raise RateOverflow unless every rate exponent -c(n - L), c(n - M)
+    on the window is within EXP_LIMIT: the condition of rate_arrays."""
+    c, lo, hi = params.c, window.n_min, window.n_max
+    # both exponents are monotone in n, so their extremes sit at the ends
+    if max(
+        abs(c * (lo - L)), abs(c * (hi - L)), abs(c * (lo - M)), abs(c * (hi - M))
+    ) > EXP_LIMIT:
+        raise RateOverflow(
+            f"rate exponent out of range on window {window} (L={L}, M={M})"
+        )
+
+
 def rate_arrays(
     params: ModelParams, L: float, M: float, window: Window, truncated: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -165,14 +178,8 @@ def rate_arrays(
     right edge, mu at the left edge), which is the finite-chain
     approximation used everywhere downstream.
     """
-    c, lo, hi = params.c, window.n_min, window.n_max
-    # both exponents are monotone in n, so their extremes sit at the ends
-    if max(
-        abs(c * (lo - L)), abs(c * (hi - L)), abs(c * (lo - M)), abs(c * (hi - M))
-    ) > EXP_LIMIT:
-        raise RateOverflow(
-            f"rate exponent out of range on window {window} (L={L}, M={M})"
-        )
+    check_rate_exponents(params, L, M, window)
+    c = params.c
     n = window.sites().astype(float)
     a = -c * (n - L)
     b = c * (n - M)

@@ -8,11 +8,18 @@ check, mirroring the conserved quantity of the deterministic system.
 
 The walkers interact only through their empirical law, so the ensemble is
 held and stepped as occupation numbers: walkers per window site.  A step
-draws one multinomial (up, down, stay) per occupied site with
+draws one multinomial (up, down, stay) per site of the occupied band
+[lo, hi), the sites from the first to the last occupied one, with
 probabilities (lambda*dt, mu*dt, rest).  Summed per site, independent
 per-walker thinning is exactly this multinomial, so the chain has the same
 law as stepping each walker on its own, at a cost that grows with the
-occupied sites rather than with N.
+band rather than with N.  An empty site inside the band draws nothing, so
+the random stream is the one a draw over the occupied sites alone uses.
+
+The rates depend on (L, M) only through e^{cL} and e^{-cM}.  Each ensemble
+takes one rate_arrays table at the window centre (L = M = 0 on a symmetric
+window) and scales it every step; the step still refuses an (L, M) outside
+rate_arrays' exponent rule with RateOverflow.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from .errors import StepTooLarge
 from .lattice import LatticeMeasure, Window
-from .model import ModelParams, rate_arrays
+from .model import ModelParams, check_rate_exponents, rate_arrays
 
 RATE_DT_LIMIT = 0.1
 
@@ -46,6 +53,8 @@ class ParticleLog:
     n_particles: int
     seed: int
     samples: List[ParticleSample] = field(default_factory=list)
+    steps: int = 0
+    max_rate_dt: float = 0.0  # largest occupied-site (lambda+mu)*dt of the run
 
     def final(self) -> ParticleSample:
         return self.samples[-1]
@@ -62,6 +71,13 @@ class Ensemble:
     L: float
     M: float
     t: float = 0.0
+    steps: int = field(default=0, init=False)
+    max_rate_dt: float = field(default=0.0, init=False)  # occupied sites, all steps
+    _n: int = field(init=False, repr=False)
+    _ref: float = field(init=False, repr=False)
+    _lam0: np.ndarray = field(init=False, repr=False)
+    _mu0: np.ndarray = field(init=False, repr=False)
+    _probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -72,6 +88,14 @@ class Ensemble:
         if (counts < 0).any() or counts.sum() < 1:
             raise ValueError("counts must be nonnegative with at least one walker")
         self.counts = counts.astype(np.int64)
+        self._n = int(self.counts.sum())
+        # rates at L = M = ref, the window centre (0 on symmetric windows);
+        # that table is finite whenever any (L, M) passes the exponent rule
+        self._ref = (self.window.n_min + self.window.n_max) / 2
+        self._lam0, self._mu0 = rate_arrays(
+            self.params, self._ref, self._ref, self.window
+        )
+        self._probs = np.empty((self.window.size, 3))  # (up, down, stay) per site
 
     @classmethod
     def from_measure(
@@ -90,46 +114,62 @@ class Ensemble:
 
     @property
     def n_particles(self) -> int:
-        return int(self.counts.sum())
+        return self._n
 
     def histogram(self) -> np.ndarray:
-        return self.counts / self.n_particles
+        return self.counts / self._n
 
     def K_N(self) -> float:
         sites = self.window.sites().astype(float)
-        return self.L + self.M + float(np.dot(sites, self.counts)) / self.n_particles
+        return self.L + self.M + float(np.dot(sites, self.counts)) / self._n
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
         """One first-order step: Euler (L, M) update from pre-jump empirical
-        rates, then synchronous thinning of all walkers, drawn per occupied
-        site as one multinomial over (up, down, stay)."""
+        rates, then synchronous thinning of all walkers, drawn per site of
+        the occupied band as one multinomial over (up, down, stay)."""
         if dt == 0.0:
             return
-        lam, mu = rate_arrays(self.params, self.L, self.M, self.window)
+        params = self.params
+        check_rate_exponents(params, self.L, self.M, self.window)
         occ = np.flatnonzero(self.counts)
-        n_occ = self.counts[occ]
-        rates = np.stack((lam[occ], mu[occ]), axis=1)  # (occupied, up/down)
-        total = rates.sum(axis=1)
+        lo, hi = int(occ[0]), int(occ[-1]) + 1
+        n = self.counts[lo:hi]
+        probs = self._probs[: hi - lo]
+        up_scale = math.exp(params.c * (self.L - self._ref)) * dt
+        down_scale = math.exp(params.c * (self._ref - self.M)) * dt
+        np.multiply(self._lam0[lo:hi], up_scale, out=probs[:, 0])
+        np.multiply(self._mu0[lo:hi], down_scale, out=probs[:, 1])
+        total = probs[:, 2]
+        np.add(probs[:, 0], probs[:, 1], out=total)
         # first-order thinning needs (lam+mu)*dt small at every *occupied*
-        # site; empty far-edge sites carry huge rates but no walkers
-        max_rate = float(total.max())
-        if max_rate * dt > RATE_DT_LIMIT:
+        # site.  The band's ends are occupied, so only a maximum inside the
+        # band can sit on an empty site; those sites draw nothing, and their
+        # rows are zeroed so that a spike there cannot invalidate them
+        max_rate_dt = float(total.max())
+        if max_rate_dt > max(total[0], total[-1]):
+            probs[n == 0] = 0.0
+            max_rate_dt = float(total.max())
+        if max_rate_dt > RATE_DT_LIMIT:
             raise StepTooLarge(
-                f"max rate * dt = {max_rate * dt:g} > {RATE_DT_LIMIT:g}; shrink dt"
+                f"max rate * dt = {max_rate_dt:g} > {RATE_DT_LIMIT:g}; shrink dt"
             )
-        mean_lam, mean_mu = (n_occ @ rates) / n_occ.sum()
-        self.L += dt * (self.params.C_lambda - float(mean_lam))
-        self.M += dt * (float(mean_mu) - self.params.C_mu)
-        probs = np.concatenate((rates * dt, (1.0 - total * dt)[:, None]), axis=1)
-        moves = rng.multinomial(n_occ, probs)
-        # jumps[0] up-moves, jumps[1] down-moves per site; lam is zero at the
-        # right edge and mu at the left, so no walker leaves the window
-        jumps = np.zeros((2, self.counts.size), dtype=np.int64)
-        jumps[:, occ] = moves[:, :2].T
-        self.counts -= jumps[0] + jumps[1]
-        self.counts[1:] += jumps[0, :-1]
-        self.counts[:-1] += jumps[1, 1:]
+        self.max_rate_dt = max(self.max_rate_dt, max_rate_dt)
+        up_dt, down_dt, _ = (n @ probs).tolist()  # walker sums of lam*dt, mu*dt
+        self.L += dt * params.C_lambda - up_dt / self._n
+        self.M += down_dt / self._n - dt * params.C_mu
+        np.subtract(1.0, total, out=total)
+        moves = rng.multinomial(n, probs)
+        # a site's new count is its stayers plus the up-moves from below and
+        # the down-moves from above; the sites next to the band held no
+        # walkers.  lam is zero at the right edge and mu at the left, so no
+        # walker leaves the window
+        self.counts[lo:hi] = moves[:, 2]
+        right = min(hi + 1, self.counts.size)
+        self.counts[lo + 1 : right] += moves[: right - lo - 1, 0]
+        left = max(lo - 1, 0)
+        self.counts[left : hi - 1] += moves[left - lo + 1 :, 1]
         self.t += dt
+        self.steps += 1
 
 
 def run_particles(
@@ -174,4 +214,5 @@ def run_particles(
     while next_i < len(sample_times):
         record()
         next_i += 1
+    log.steps, log.max_rate_dt = ens.steps, ens.max_rate_dt
     return log

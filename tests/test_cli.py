@@ -314,7 +314,20 @@ class TestOtherCommands:
         assert main(["particles", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "particles.json").read_text())
         assert payload["n"] == 200
+        assert payload["steps"] == 500
+        # the start alone has (lambda_0 + mu_0) dt = (e^1.3 + e^0.4) * 1e-3
+        assert 5.1e-3 < payload["max_rate_dt"] <= 0.1
         assert (out / "particles.csv").exists()
+
+    def test_particles_rate_overflow(self, tmp_path, capsys):
+        # l0 = 690 on [-25, 25]: -c(n_min - L) = 715 > 700
+        text = BASE.replace("m = 12", "m = 25").replace("l0 = 1.3", "l0 = 690")
+        text += "\n[particles]\nn = 200\ndt = 0.001\nt_final = 0.5\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["particles", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "out of range" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlwalk import (
+    ConstantBeta,
     Ensemble,
     LatticeMeasure,
+    LinearDriftBeta,
     ModelParams,
+    TableBeta,
     Window,
     run_particles,
 )
-from nlwalk.errors import StepTooLarge
+from nlwalk.errors import RateOverflow, StepTooLarge
 from nlwalk.model import rate_arrays
 from nlwalk.particles import RATE_DT_LIMIT
 
@@ -46,12 +50,33 @@ def per_walker_step(params, window, positions, L, M, dt, rng):
 
 
 @st.composite
-def occupancies(draw):
-    m = draw(st.integers(1, 6))
-    counts = draw(st.lists(st.integers(0, 40), min_size=2 * m + 1, max_size=2 * m + 1))
+def stepping_cases(draw):
+    """(params, window, counts, centre): a window [centre - m, centre + m]
+    with constant or tabulated beta.  The "spike" table puts a huge
+    beta(n) on an empty site n inside the occupied band, so lambda_n and
+    mu_{n+1} spike on two empty sites between occupied ones."""
+    m = draw(st.integers(2, 6))
+    centre = draw(st.sampled_from((0, 720)))
+    w = Window(centre - m, 2 * m + 1)
+    counts = draw(st.lists(st.integers(0, 40), min_size=w.size, max_size=w.size))
+    kind = draw(st.sampled_from(("constant", "table", "spike")))
+    if kind == "constant":
+        beta = ConstantBeta(draw(st.floats(0.2, 5.0)))
+    else:
+        # beta on [n_min - 1, n_max]: values[j + 1] is beta at window index j
+        values = draw(
+            st.lists(st.floats(0.05, 20.0), min_size=w.size + 1, max_size=w.size + 1)
+        )
+        if kind == "spike":
+            j = draw(st.integers(1, w.size - 3))
+            counts[j] = counts[j + 1] = 0
+            counts[j - 1] = max(counts[j - 1], 1)
+            counts[j + 2] = max(counts[j + 2], 1)
+            values[j + 1] = draw(st.floats(1e3, 1e250))
+        beta = TableBeta(tuple(values), n_min=w.n_min - 1)
     if sum(counts) == 0:
-        counts[draw(st.integers(0, 2 * m))] = 1
-    return Window.symmetric(m), np.array(counts)
+        counts[draw(st.integers(0, w.size - 1))] = 1
+    return ModelParams(beta=beta), w, np.array(counts), centre
 
 
 class TestStep:
@@ -94,24 +119,25 @@ class TestStep:
         with pytest.raises(ValueError):
             Ensemble(PARAMS, w, np.array([0, 0, 2, -1, 0, 0, 0]), 0.0, 0.0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        occ=occupancies(),
-        L=st.floats(-3.0, 3.0),
-        M=st.floats(-3.0, 3.0),
+        case=stepping_cases(),
+        dL=st.floats(-3.0, 3.0),
+        dM=st.floats(-3.0, 3.0),
         log_dt=st.floats(-5.0, -0.5),
     )
-    def test_barriers_and_guard_match_per_walker(self, occ, L, M, log_dt):
-        w, counts = occ
+    def test_barriers_and_guard_match_per_walker(self, case, dL, dM, log_dt):
+        params, w, counts, centre = case
+        L, M = centre + dL, centre + dM
         dt = 10.0 ** log_dt
         positions = np.repeat(w.sites(), counts)
         try:
             _, L_ref, M_ref = per_walker_step(
-                PARAMS, w, positions, L, M, dt, np.random.default_rng(0)
+                params, w, positions, L, M, dt, np.random.default_rng(0)
             )
         except StepTooLarge:
             L_ref = None
-        ens = Ensemble(PARAMS, w, counts, L, M)
+        ens = Ensemble(params, w, counts, L, M)
         if L_ref is None:
             with pytest.raises(StepTooLarge):
                 ens.step(dt, np.random.default_rng(0))
@@ -119,7 +145,40 @@ class TestStep:
         ens.step(dt, np.random.default_rng(0))
         assert math.isclose(ens.L, L_ref, rel_tol=1e-12, abs_tol=1e-15)
         assert math.isclose(ens.M, M_ref, rel_tol=1e-12, abs_tol=1e-15)
+        # the edge sites are drawn occupied too: no walker leaves the window
         assert ens.counts.sum() == counts.sum() and (ens.counts >= 0).all()
+        assert ens.steps == 1 and 0.0 < ens.max_rate_dt <= RATE_DT_LIMIT
+
+    @pytest.mark.parametrize(
+        "L, M",
+        [
+            (695.0, 0.0),  # -c(n_min - L) = 705
+            (0.0, -695.0),  # c(n_max - M) = 705
+            (math.nextafter(690.0, math.inf), 0.0),
+            (0.0, math.nextafter(-690.0, -math.inf)),
+        ],
+    )
+    def test_rate_overflow_as_rate_arrays(self, L, M):
+        w = Window.symmetric(10)
+        with pytest.raises(RateOverflow):
+            rate_arrays(PARAMS, L, M, w)
+        ens = Ensemble.from_measure(
+            PARAMS, LatticeMeasure.delta(0, w), L, M, 100, np.random.default_rng(0)
+        )
+        with pytest.raises(RateOverflow):
+            ens.step(1e-3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("L, M", [(685.0, -685.0), (690.0, 0.0), (0.0, -690.0)])
+    def test_exponents_in_range_reach_the_guard(self, L, M):
+        # inside rate_arrays' rule the huge rates trip StepTooLarge, never
+        # RateOverflow or a raw OverflowError
+        w = Window.symmetric(10)
+        rate_arrays(PARAMS, L, M, w)
+        ens = Ensemble.from_measure(
+            PARAMS, LatticeMeasure.delta(0, w), L, M, 100, np.random.default_rng(0)
+        )
+        with pytest.raises(StepTooLarge):
+            ens.step(1e-3, np.random.default_rng(0))
 
     def test_jump_counts_per_site(self):
         # sites 3 apart, so the walkers arriving at n+1 are exactly the
@@ -158,7 +217,89 @@ class TestStep:
         assert np.mean(drifts) < 0.1
 
 
+# README config (beta = 1, c = 1, [-25, 25], delta_0, L0 = 1.3, M0 = -0.4),
+# N = 10^4, dt = 5e-4, T = 1: sha256 over every sample's float64
+# histogram, and the final (L, M, K_N), as the occupied-site gather step
+# drew them.  Band stepping must draw the same stream.
+STREAM_PINS = {
+    1: (
+        "d95bc7f3e569a649061aa683cd50d99cac709f125f24cb4519b216f3aff02b2c",
+        0.3395719214579833, 0.260026698281136, 0.8924986197391194,
+    ),
+    2: (
+        "c35ecde77526c2a316c33d8f68191653aeae2d922c43e64be7e76b70a2d28941",
+        0.32850624319756666, 0.24710129753914845, 0.8580075407367151,
+    ),
+    3: (
+        "4dc06384b5fa9c4d9bfd03a3a0510ccd3756bb2f52ccb9f9e64a5f0193d3d923",
+        0.3384575217756684, 0.2581354621142427, 0.8990929838899111,
+    ),
+}
+
+
+@st.composite
+def particle_runs(draw):
+    c = draw(st.floats(0.5, 2.0))
+    m = draw(st.integers(1, 8))
+    w = Window.symmetric(m)
+    kind = draw(st.sampled_from(("constant", "table", "linear_drift")))
+    if kind == "constant":
+        beta = ConstantBeta(draw(st.floats(0.1, 10.0)))
+    elif kind == "table":
+        values = draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=w.size + 2))
+        beta = TableBeta(tuple(values), n_min=draw(st.integers(-m - 1, m)))
+    else:
+        beta = LinearDriftBeta(slope=draw(st.floats(0.1, 5.0)), c=c)
+    params = ModelParams(
+        c=c, C_lambda=draw(st.floats(0.5, 2.0)), C_mu=draw(st.floats(0.5, 2.0)), beta=beta
+    )
+    if draw(st.booleans()):
+        p0 = LatticeMeasure.delta(draw(st.integers(-m, m)), w)
+    else:
+        p0 = LatticeMeasure(w, np.full(w.size, 1.0 / w.size))
+    return dict(
+        params=params,
+        p0=p0,
+        L0=draw(st.floats(-5.0, 5.0)),
+        M0=draw(st.floats(-5.0, 5.0)),
+        n_particles=draw(st.integers(1, 200)),
+        t_final=draw(st.floats(0.0, 0.2)),
+        dt=draw(st.floats(1e-4, 0.2)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_samples=draw(st.integers(1, 12)),
+    )
+
+
 class TestRun:
+    @settings(max_examples=100, deadline=None)
+    @given(run=particle_runs())
+    def test_sweep_invariants_or_documented_error(self, run):
+        try:
+            log = run_particles(**run)
+        except (StepTooLarge, RateOverflow, ValueError):
+            return
+        n = run["n_particles"]
+        assert len(log.samples) == run["n_samples"]
+        for s in log.samples:
+            counts = np.rint(s.histogram * n)
+            assert np.allclose(s.histogram * n, counts, rtol=0.0, atol=1e-9)
+            assert (counts >= 0).all() and counts.sum() == n
+            assert math.isfinite(s.L) and math.isfinite(s.M)
+        assert 0.0 <= log.max_rate_dt <= RATE_DT_LIMIT
+        assert log.steps == math.ceil(run["t_final"] / run["dt"] - 1e-12)
+
+    def test_stream_pinned(self):
+        p0 = LatticeMeasure.delta(0, Window.symmetric(25))
+        for seed, (digest, L, M, K_N) in STREAM_PINS.items():
+            log = run_particles(PARAMS, p0, 1.3, -0.4, 10_000, 1.0, 5e-4, seed=seed)
+            h = hashlib.sha256()
+            for s in log.samples:
+                h.update(np.ascontiguousarray(s.histogram, dtype="<f8").tobytes())
+            assert h.hexdigest() == digest
+            fin = log.final()
+            assert abs(fin.L - L) < 1e-12 and abs(fin.M - M) < 1e-12
+            assert abs(fin.K_N - K_N) < 1e-12
+
     def test_reproducible(self):
         args = (PARAMS, LatticeMeasure.delta(0, Window.symmetric(10)),
                 0.5, -0.3, 500, 0.5, 1e-3)
