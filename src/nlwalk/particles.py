@@ -19,7 +19,10 @@ the random stream is the one a draw over the occupied sites alone uses.
 The rates depend on (L, M) only through e^{cL} and e^{-cM}.  Each ensemble
 takes one rate_arrays table at the window centre (L = M = 0 on a symmetric
 window) and scales it every step; the step still refuses an (L, M) outside
-rate_arrays' exponent rule with RateOverflow.
+rate_arrays' exponent rule with RateOverflow.  The centre table is finite
+whenever some (L, M) passes that rule, so a window where none can
+(c * (n_max - n_min) / 2 > EXP_LIMIT) raises RateOverflow as soon as the
+Ensemble is built, and run_particles refuses it even for t_final = 0.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ class Ensemble:
     L: float
     M: float
     t: float = 0.0
-    steps: int = field(default=0, init=False)
     max_rate_dt: float = field(default=0.0, init=False)  # occupied sites, all steps
     _n: int = field(init=False, repr=False)
     _ref: float = field(init=False, repr=False)
@@ -142,13 +144,10 @@ class Ensemble:
         total = probs[:, 2]
         np.add(probs[:, 0], probs[:, 1], out=total)
         # first-order thinning needs (lam+mu)*dt small at every *occupied*
-        # site.  The band's ends are occupied, so only a maximum inside the
-        # band can sit on an empty site; those sites draw nothing, and their
-        # rows are zeroed so that a spike there cannot invalidate them
+        # site.  Empty sites inside the band draw nothing, and their rows
+        # are zeroed so that a spike there cannot invalidate them
+        probs[n == 0] = 0.0
         max_rate_dt = float(total.max())
-        if max_rate_dt > max(total[0], total[-1]):
-            probs[n == 0] = 0.0
-            max_rate_dt = float(total.max())
         if max_rate_dt > RATE_DT_LIMIT:
             raise StepTooLarge(
                 f"max rate * dt = {max_rate_dt:g} > {RATE_DT_LIMIT:g}; shrink dt"
@@ -169,7 +168,6 @@ class Ensemble:
         left = max(lo - 1, 0)
         self.counts[left : hi - 1] += moves[left - lo + 1 :, 1]
         self.t += dt
-        self.steps += 1
 
 
 def run_particles(
@@ -214,5 +212,5 @@ def run_particles(
     while next_i < len(sample_times):
         record()
         next_i += 1
-    log.steps, log.max_rate_dt = ens.steps, ens.max_rate_dt
+    log.steps, log.max_rate_dt = n_steps, ens.max_rate_dt
     return log

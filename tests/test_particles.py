@@ -55,11 +55,13 @@ def stepping_cases(draw):
     with constant or tabulated beta.  The "spike" table puts a huge
     beta(n) on an empty site n inside the occupied band, so lambda_n and
     mu_{n+1} spike on two empty sites between occupied ones."""
-    m = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 6))
     centre = draw(st.sampled_from((0, 720)))
     w = Window(centre - m, 2 * m + 1)
     counts = draw(st.lists(st.integers(0, 40), min_size=w.size, max_size=w.size))
-    kind = draw(st.sampled_from(("constant", "table", "spike")))
+    # a spike needs two empty sites between occupied ones: m >= 2
+    kinds = ("constant", "table", "spike") if m >= 2 else ("constant", "table")
+    kind = draw(st.sampled_from(kinds))
     if kind == "constant":
         beta = ConstantBeta(draw(st.floats(0.2, 5.0)))
     else:
@@ -147,7 +149,7 @@ class TestStep:
         assert math.isclose(ens.M, M_ref, rel_tol=1e-12, abs_tol=1e-15)
         # the edge sites are drawn occupied too: no walker leaves the window
         assert ens.counts.sum() == counts.sum() and (ens.counts >= 0).all()
-        assert ens.steps == 1 and 0.0 < ens.max_rate_dt <= RATE_DT_LIMIT
+        assert 0.0 < ens.max_rate_dt <= RATE_DT_LIMIT
 
     @pytest.mark.parametrize(
         "L, M",
@@ -167,6 +169,14 @@ class TestStep:
         )
         with pytest.raises(RateOverflow):
             ens.step(1e-3, np.random.default_rng(0))
+
+    def test_window_no_step_can_pass_is_refused_at_build(self):
+        # c (n_max - n_min) / 2 = 700.5 > EXP_LIMIT: no (L, M) passes the
+        # exponent rule, so even a zero-length run raises
+        w = Window(0, 1402)
+        with pytest.raises(RateOverflow):
+            run_particles(PARAMS, LatticeMeasure.delta(700, w), 700.0, 700.0,
+                          10, 0.0, 1e-3, seed=0)
 
     @pytest.mark.parametrize("L, M", [(685.0, -685.0), (690.0, 0.0), (0.0, -690.0)])
     def test_exponents_in_range_reach_the_guard(self, L, M):
