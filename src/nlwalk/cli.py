@@ -25,6 +25,7 @@ from .dynamics import (
     IntegratorConfig,
     SystemState,
     TrajectoryLog,
+    conserved_K,
     integrate,
 )
 from .equilibrium import K_of_s, discrete_gaussian, fixed_point, solve_s_from_K
@@ -315,9 +316,17 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _solve_k(cfg: RunConfig) -> float:
+    """[solve] k, by default the K0 of [initial]."""
+    k = cfg.getfloat("solve", "k", None)
+    return conserved_K(cfg.initial_state()) if k is None else k
+
+
 def cmd_fixed_point(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    s = cfg.require("solve", "s", float)
+    s = cfg.getfloat("solve", "s", None)
+    if s is None:
+        s = solve_s_from_K(cfg.params, _solve_k(cfg))
     fp = fixed_point(cfg.params, s, cfg.window)
     payload = {
         "s": fp.s, "d": fp.d, "L_s": fp.L_s, "M_s": fp.M_s,
@@ -332,7 +341,7 @@ def cmd_fixed_point(cfg: RunConfig, args) -> int:
 
 def cmd_solve_s(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    K = cfg.require("solve", "k", float)
+    K = _solve_k(cfg)
     s = solve_s_from_K(cfg.params, K)
     _write_json(out / "solve_s.json", {"K": K, "s_star": s}, cfg)
     print(f"s*={s!r}")
@@ -440,7 +449,8 @@ def cmd_particles(cfg: RunConfig, args) -> int:
         out / "particles.json",
         {"n": n, "dt": dt, "t_final": T, "seed": seed,
          "L_final": fin.L, "M_final": fin.M, "K_N_final": fin.K_N,
-         "steps": log.steps, "max_rate_dt": log.max_rate_dt},
+         "steps": log.steps, "max_rate_dt": log.max_rate_dt,
+         "band_max": log.band_max},
         cfg,
     )
     print(f"particles: N={n} L(T)={fin.L:g} M(T)={fin.M:g}")
@@ -449,7 +459,7 @@ def cmd_particles(cfg: RunConfig, args) -> int:
 
 def cmd_diagnose(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    src = Path(cfg.require("diagnose", "input"))
+    src = Path(cfg.get("diagnose", "input", None) or out / "trajectory.csv")
     if not src.exists():
         raise ConfigError(f"trajectory file not found: {src}")
     with src.open(newline="") as fh:

@@ -183,10 +183,13 @@ def _pflow(params, a_vec, b_vec, n, p, L, M, h):
     bounded even when the diagonal is huge at the window edges.
     """
     c = params.c
-    lam = a_vec * math.exp(c * L)
-    mu = b_vec * math.exp(-c * M)
-    if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
+    up, down = math.exp(c * L), math.exp(-c * M)
+    # the largest rate overflows exactly when some rate does (scalar
+    # products, so no floating-point warning)
+    if math.isinf(float(a_vec.max()) * up) or math.isinf(float(b_vec.max()) * down):
         raise RateOverflow("jump rates overflowed on the window")
+    lam = a_vec * up
+    mu = b_vec * down
     diag = -(lam + mu)
     off = np.sqrt(lam[:-1] * mu[1:])
     s_bar = 0.5 * (L + M)
@@ -370,6 +373,8 @@ def integrate(
     # sample interval later, with the steps it took
     if config.method == "splitting":
         a_vec, b_vec = rate_arrays(params, 0.0, 0.0, window)
+        if not (np.isfinite(a_vec).all() and np.isfinite(b_vec).all()):
+            raise RateOverflow("jump rates overflowed on the window")
         n = window.sites().astype(float)
         h = config.dt_init
 

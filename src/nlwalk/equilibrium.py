@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFixedPoint, WindowTooNarrow
+from .errors import NoFixedPoint, NumericalError, WindowTooNarrow
 from .lattice import LatticeMeasure, Window
 from .model import ModelParams, eval_beta, rate_arrays
 
@@ -44,7 +44,13 @@ def gaussian_sum(c: float, s: float, weight=None) -> float:
     """sum_n w(n) exp(-c(n-s)^2), summed outward from round(s) with
     compensated accumulation, stopping when both directions fall below
     SUM_EPS times the accumulated absolute scale (the signed sum can be
-    near zero, e.g. for the first-moment weight).  w defaults to 1."""
+    near zero, e.g. for the first-moment weight).  w defaults to 1.
+
+    Raises NumericalError when |s| >= 2^52, where float spacing is at
+    least 1 and the sites near s are no longer distinct, or when the sum
+    does not converge."""
+    if not abs(s) < 2.0**52:
+        raise NumericalError(f"s = {s} is beyond the lattice resolution of a float")
     center = int(round(s))
 
     def term(n):
@@ -61,13 +67,18 @@ def gaussian_sum(c: float, s: float, weight=None) -> float:
         scale += abs(up) + abs(down)
         if abs(up) < SUM_EPS * scale and abs(down) < SUM_EPS * scale:
             return math.fsum(terms)
-    raise RuntimeError("gaussian sum failed to converge")
+    raise NumericalError(f"gaussian sum failed to converge (c={c}, s={s})")
 
 
 def partition_Xi(c: float, s: float) -> float:
     """Normalization of the discrete Gaussian: sum_n exp(-c(n-s)^2) by
-    direct truncated summation (no theta-function identities)."""
-    return gaussian_sum(c, s)
+    direct truncated summation (no theta-function identities).  Raises
+    NumericalError when every term underflows (c(n - s)^2 > 745 on all
+    sites), as a huge c does for s off the lattice."""
+    xi = gaussian_sum(c, s)
+    if not xi > 0:
+        raise NumericalError(f"discrete Gaussian underflowed on every site (c={c}, s={s})")
+    return xi
 
 
 def discrete_gaussian(c: float, s: float, window: Window) -> LatticeMeasure:
@@ -108,7 +119,7 @@ def fixed_point(params: ModelParams, s: float, window: Window) -> FixedPoint:
 def K_of_s(params: ModelParams, s: float) -> float:
     """Level value of the fixed point at s: F(s) = 2s + mean(pi_s)."""
     c = params.c
-    xi = gaussian_sum(c, s)
+    xi = partition_Xi(c, s)
     first = gaussian_sum(c, s, weight=lambda n: float(n))
     return 2.0 * s + first / xi
 

@@ -183,8 +183,11 @@ def rate_arrays(
     n = window.sites().astype(float)
     a = -c * (n - L)
     b = c * (n - M)
-    lam = beta_array(params.beta, window.n_min, window.n_max) * np.exp(a)
-    mu = beta_array(params.beta, window.n_min - 1, window.n_max - 1) * np.exp(b)
+    # a huge beta can still carry a rate past the float range: it is inf,
+    # and each consumer refuses an inf rate where it would use it
+    with np.errstate(over="ignore"):
+        lam = beta_array(params.beta, window.n_min, window.n_max) * np.exp(a)
+        mu = beta_array(params.beta, window.n_min - 1, window.n_max - 1) * np.exp(b)
     if truncated:
         lam[-1] = 0.0
         mu[0] = 0.0

@@ -16,6 +16,16 @@ law as stepping each walker on its own, at a cost that grows with the
 band rather than with N.  An empty site inside the band draws nothing, so
 the random stream is the one a draw over the occupied sites alone uses.
 
+A step's fixed cost is that one multinomial call.  Everything else runs
+on Python scalars over the band: one loop fills the (up, down, stay) rows
+and takes the guard's maximum and the walker sums of lambda*dt and mu*dt
+for the barrier update, in site order; a second loop adds the moves back
+into counts on [lo - 1, hi + 1), whose first and last nonzero sites are
+the next step's band.  So the rest of the cost is O(band), and the guard
+bounds the band: (lambda + mu)*dt <= 0.1 on every occupied site keeps,
+for constant beta = b, the band within (M - L) + 2 ln(0.1/(b dt))/c + 1
+sites.
+
 The rates depend on (L, M) only through e^{cL} and e^{-cM}.  Each ensemble
 takes one rate_arrays table at the window centre (L = M = 0 on a symmetric
 window) and scales it every step; the step still refuses an (L, M) outside
@@ -38,6 +48,7 @@ from .lattice import LatticeMeasure, Window
 from .model import ModelParams, check_rate_exponents, rate_arrays
 
 RATE_DT_LIMIT = 0.1
+_EMPTY_ROW = (0.0, 0.0, 1.0)  # (up, down, stay) of an empty site
 
 
 @dataclass
@@ -58,6 +69,7 @@ class ParticleLog:
     samples: List[ParticleSample] = field(default_factory=list)
     steps: int = 0
     max_rate_dt: float = 0.0  # largest occupied-site (lambda+mu)*dt of the run
+    band_max: int = 0  # widest occupied band a step drew over (0: no step)
 
     def final(self) -> ParticleSample:
         return self.samples[-1]
@@ -75,11 +87,13 @@ class Ensemble:
     M: float
     t: float = 0.0
     max_rate_dt: float = field(default=0.0, init=False)  # occupied sites, all steps
+    band_max: int = field(default=0, init=False)  # widest band a step drew over
     _n: int = field(init=False, repr=False)
     _ref: float = field(init=False, repr=False)
-    _lam0: np.ndarray = field(init=False, repr=False)
-    _mu0: np.ndarray = field(init=False, repr=False)
-    _probs: np.ndarray = field(init=False, repr=False)
+    _lam0: List[float] = field(init=False, repr=False)
+    _mu0: List[float] = field(init=False, repr=False)
+    _lo: int = field(init=False, repr=False)  # occupied band [lo, hi)
+    _hi: int = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -94,10 +108,10 @@ class Ensemble:
         # rates at L = M = ref, the window centre (0 on symmetric windows);
         # that table is finite whenever any (L, M) passes the exponent rule
         self._ref = (self.window.n_min + self.window.n_max) / 2
-        self._lam0, self._mu0 = rate_arrays(
-            self.params, self._ref, self._ref, self.window
-        )
-        self._probs = np.empty((self.window.size, 3))  # (up, down, stay) per site
+        lam0, mu0 = rate_arrays(self.params, self._ref, self._ref, self.window)
+        self._lam0, self._mu0 = lam0.tolist(), mu0.tolist()
+        occ = np.flatnonzero(self.counts)
+        self._lo, self._hi = int(occ[0]), int(occ[-1]) + 1
 
     @classmethod
     def from_measure(
@@ -132,41 +146,64 @@ class Ensemble:
         if dt == 0.0:
             return
         params = self.params
-        check_rate_exponents(params, self.L, self.M, self.window)
-        occ = np.flatnonzero(self.counts)
-        lo, hi = int(occ[0]), int(occ[-1]) + 1
+        L, M = self.L, self.M
+        check_rate_exponents(params, L, M, self.window)
+        lo, hi = self._lo, self._hi
         n = self.counts[lo:hi]
-        probs = self._probs[: hi - lo]
-        up_scale = math.exp(params.c * (self.L - self._ref)) * dt
-        down_scale = math.exp(params.c * (self._ref - self.M)) * dt
-        np.multiply(self._lam0[lo:hi], up_scale, out=probs[:, 0])
-        np.multiply(self._mu0[lo:hi], down_scale, out=probs[:, 1])
-        total = probs[:, 2]
-        np.add(probs[:, 0], probs[:, 1], out=total)
+        up_scale = math.exp(params.c * (L - self._ref)) * dt
+        down_scale = math.exp(params.c * (self._ref - M)) * dt
         # first-order thinning needs (lam+mu)*dt small at every *occupied*
-        # site.  Empty sites inside the band draw nothing, and their rows
-        # are zeroed so that a spike there cannot invalidate them
-        probs[n == 0] = 0.0
-        max_rate_dt = float(total.max())
+        # site.  Empty sites inside the band draw nothing; their rows are
+        # zero so that a rate spike there cannot invalidate them
+        probs = []  # (up, down, stay) per band site, flattened
+        max_rate_dt = 0.0
+        up_dt = down_dt = 0.0  # walker sums of lam*dt and mu*dt, in site order
+        for k, lam, mu in zip(n.tolist(), self._lam0[lo:hi], self._mu0[lo:hi]):
+            if k:
+                up = lam * up_scale
+                down = mu * down_scale
+                total = up + down
+                if total > max_rate_dt:
+                    max_rate_dt = total
+                up_dt += k * up
+                down_dt += k * down
+                probs += (up, down, 1.0 - total)
+            else:
+                probs += _EMPTY_ROW
         if max_rate_dt > RATE_DT_LIMIT:
             raise StepTooLarge(
                 f"max rate * dt = {max_rate_dt:g} > {RATE_DT_LIMIT:g}; shrink dt"
             )
-        self.max_rate_dt = max(self.max_rate_dt, max_rate_dt)
-        up_dt, down_dt, _ = (n @ probs).tolist()  # walker sums of lam*dt, mu*dt
+        if max_rate_dt > self.max_rate_dt:
+            self.max_rate_dt = max_rate_dt
+        if hi - lo > self.band_max:
+            self.band_max = hi - lo
         self.L += dt * params.C_lambda - up_dt / self._n
         self.M += down_dt / self._n - dt * params.C_mu
-        np.subtract(1.0, total, out=total)
-        moves = rng.multinomial(n, probs)
+        pvals = np.fromiter(probs, np.float64, len(probs)).reshape(hi - lo, 3)
+        moves = rng.multinomial(n, pvals).tolist()
         # a site's new count is its stayers plus the up-moves from below and
-        # the down-moves from above; the sites next to the band held no
-        # walkers.  lam is zero at the right edge and mu at the left, so no
-        # walker leaves the window
-        self.counts[lo:hi] = moves[:, 2]
-        right = min(hi + 1, self.counts.size)
-        self.counts[lo + 1 : right] += moves[: right - lo - 1, 0]
+        # the down-moves from above.  lam is zero at the right edge and mu at
+        # the left, so no walker leaves the window: the new counts lie on
+        # [lo - 1, hi + 1) clipped to it, and their first and last nonzero
+        # sites are the next step's band
         left = max(lo - 1, 0)
-        self.counts[left : hi - 1] += moves[left - lo + 1 :, 1]
+        new = [0] * (min(hi + 1, self.counts.size) - left)
+        j = lo - left
+        for up, down, stay in moves:
+            new[j] += stay
+            if up:
+                new[j + 1] += up
+            if down:
+                new[j - 1] += down
+            j += 1
+        self.counts[left : left + len(new)] = new
+        first, last = 0, len(new) - 1
+        while not new[first]:
+            first += 1
+        while not new[last]:
+            last -= 1
+        self._lo, self._hi = left + first, left + last + 1
         self.t += dt
 
 
@@ -185,13 +222,13 @@ def run_particles(
         raise ValueError(f"need a finite t_final >= 0, got {t_final}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"need a finite dt > 0, got {dt}")
-    if n_particles < 1:
-        raise ValueError(f"need n_particles >= 1, got {n_particles}")
+    if not 1 <= n_particles < 2**63:  # the counts are int64
+        raise ValueError(f"need 1 <= n_particles < 2**63, got {n_particles}")
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     ens = Ensemble.from_measure(params, p0, L0, M0, n_particles, rng)
-    sample_times = np.linspace(0.0, t_final, n_samples)
+    sample_times = np.linspace(0.0, t_final, n_samples).tolist()
 
     log = ParticleLog(params, p0.window, n_particles, seed)
 
@@ -212,5 +249,5 @@ def run_particles(
     while next_i < len(sample_times):
         record()
         next_i += 1
-    log.steps, log.max_rate_dt = n_steps, ens.max_rate_dt
+    log.steps, log.max_rate_dt, log.band_max = n_steps, ens.max_rate_dt, ens.band_max
     return log

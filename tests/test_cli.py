@@ -1,10 +1,17 @@
 import configparser
+import contextlib
 import csv
+import io
 import json
+import re
 import textwrap
 import time
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nlwalk import (
     IntegratorConfig,
@@ -317,6 +324,7 @@ class TestOtherCommands:
         assert payload["steps"] == 500
         # the start alone has (lambda_0 + mu_0) dt = (e^1.3 + e^0.4) * 1e-3
         assert 5.1e-3 < payload["max_rate_dt"] <= 0.1
+        assert 1 <= payload["band_max"] <= 25
         assert (out / "particles.csv").exists()
 
     def test_particles_rate_overflow(self, tmp_path, capsys):
@@ -493,3 +501,94 @@ def test_bad_input_exits_2(tmp_path, capsys, command, section, values):
     assert err.startswith("error: ")
     if values in ({"sample_times": "0.0, x"}, {"splits": "abc"}, {"k_max": "-1"}):
         assert f"[{section}] {next(iter(values))}" in err
+
+
+README_CONFIG = re.search(
+    r"```ini\n(.*?)```",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
+    re.S,
+).group(1)
+
+COMMANDS = ("simulate", "fixed-point", "solve-s", "kernel-check",
+            "sample-paths", "particles", "diagnose")
+
+
+def test_every_command_runs_on_the_readme_config(tmp_path):
+    # the session README shows: diagnose reads <out>/trajectory.csv, and
+    # solve-s and fixed-point default to the K0 of [initial]
+    cfg = write_config(tmp_path, README_CONFIG, "bench.ini")
+    out = tmp_path / "out"
+    for command in COMMANDS:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
+    K0 = 1.3 - 0.4
+    assert json.loads((out / "solve_s.json").read_text())["K"] == K0
+    s_star = json.loads((out / "summary.json").read_text())["s_star"]
+    assert json.loads((out / "fixed_point.json").read_text())["s"] == s_star
+    assert json.loads((out / "diagnose.json").read_text())["W_violations"] == 0
+
+
+# The README config at tiny sizes, for the fuzz below.
+FUZZ_BASE = README_CONFIG.replace("t_final = 20.0", "t_final = 0.2").replace(
+    "n_samples = 201", "n_samples = 5"
+) + textwrap.dedent(
+    """
+    [particles]
+    n = 100
+    dt = 0.01
+    t_final = 0.1
+    n_samples = 3
+
+    [paths]
+    n_paths = 20
+    sample_times = 0.0, 0.1
+    path = constant
+    """
+)
+# Every value a key can be given: invalid, degenerate or extreme.  The
+# huge integer is past int64, so no size built from it can be allocated.
+# A huge run length is a valid request for a long run, so the t_final keys
+# take no huge value.
+HUGE = ("1e300", "1" + "0" * 30)
+FUZZ_VALUES = ("-1", "-1e-3", "0", "nan", "inf", "-inf", "x", "") + HUGE
+RUN_LENGTH_KEYS = {("run", "t_final"), ("particles", "t_final")}
+
+
+def _fuzz_parser():
+    parser = configparser.ConfigParser()
+    parser.read_string(FUZZ_BASE)
+    return parser
+
+
+@st.composite
+def fuzzed_configs(draw):
+    parser = _fuzz_parser()
+    keys = [(s, k) for s in parser.sections() for k in parser[s]]
+    for section, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        values = [v for v in FUZZ_VALUES
+                  if not (v in HUGE and (section, key) in RUN_LENGTH_KEYS)]
+        parser[section][key] = draw(st.sampled_from(values))
+    for section in draw(st.lists(st.sampled_from(parser.sections()), max_size=2)):
+        parser.remove_section(section)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=fuzzed_configs())
+def test_fuzzed_configs_exit_with_documented_codes(tmp_path, text):
+    # whatever a config holds, a command exits 0, 2, 3 or 4, and its stderr
+    # is empty or one "error:" line: no traceback, no printed warning
+    cfg = write_config(tmp_path, text, "fuzz.ini")
+    for command in ("simulate", "particles", "solve-s", "fixed-point", "sample-paths"):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code in (0, 2, 3, 4), (command, code, text)
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), (
+            command, lines, text)

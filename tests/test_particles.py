@@ -17,7 +17,7 @@ from nlwalk import (
     run_particles,
 )
 from nlwalk.errors import RateOverflow, StepTooLarge
-from nlwalk.model import rate_arrays
+from nlwalk.model import check_rate_exponents, rate_arrays
 from nlwalk.particles import RATE_DT_LIMIT
 
 PARAMS = ModelParams()
@@ -47,6 +47,49 @@ def per_walker_step(params, window, positions, L, M, dt, rng):
     up = u < lam_i * dt
     down = (~up) & (u < (lam_i + mu_i) * dt)
     return positions + up.astype(int) - down.astype(int), L, M
+
+
+class BandStepReference:
+    """Reference: the vectorized band step that Ensemble.step replaced, on
+    numpy arrays over the band found by np.flatnonzero each step.  Its
+    walker sums run in site order (np.cumsum), the order of the scalar
+    step; `n @ probs` goes through BLAS, whose fused and blocked sums can
+    differ in the last bit."""
+
+    def __init__(self, params, window, counts, L, M):
+        self.params, self.window = params, window
+        self.counts = np.array(counts, dtype=np.int64)
+        self.L, self.M, self.t, self.max_rate_dt = L, M, 0.0, 0.0
+        self.n = int(self.counts.sum())
+        self.ref = (window.n_min + window.n_max) / 2
+        self.lam0, self.mu0 = rate_arrays(params, self.ref, self.ref, window)
+
+    def step(self, dt, rng):
+        params = self.params
+        check_rate_exponents(params, self.L, self.M, self.window)
+        occ = np.flatnonzero(self.counts)
+        lo, hi = int(occ[0]), int(occ[-1]) + 1
+        n = self.counts[lo:hi]
+        probs = np.empty((hi - lo, 3))
+        probs[:, 0] = self.lam0[lo:hi] * (math.exp(params.c * (self.L - self.ref)) * dt)
+        probs[:, 1] = self.mu0[lo:hi] * (math.exp(params.c * (self.ref - self.M)) * dt)
+        probs[:, 2] = probs[:, 0] + probs[:, 1]
+        probs[n == 0] = 0.0
+        max_rate_dt = float(probs[:, 2].max())
+        if max_rate_dt > RATE_DT_LIMIT:
+            raise StepTooLarge(f"max rate * dt = {max_rate_dt:g}")
+        self.max_rate_dt = max(self.max_rate_dt, max_rate_dt)
+        up_dt, down_dt, _ = np.cumsum(n[:, None] * probs, axis=0)[-1].tolist()
+        self.L += dt * params.C_lambda - up_dt / self.n
+        self.M += down_dt / self.n - dt * params.C_mu
+        probs[:, 2] = 1.0 - probs[:, 2]
+        moves = rng.multinomial(n, probs)
+        self.counts[lo:hi] = moves[:, 2]
+        right = min(hi + 1, self.counts.size)
+        self.counts[lo + 1 : right] += moves[: right - lo - 1, 0]
+        left = max(lo - 1, 0)
+        self.counts[left : hi - 1] += moves[left - lo + 1 :, 1]
+        self.t += dt
 
 
 @st.composite
@@ -150,6 +193,40 @@ class TestStep:
         # the edge sites are drawn occupied too: no walker leaves the window
         assert ens.counts.sum() == counts.sum() and (ens.counts >= 0).all()
         assert 0.0 < ens.max_rate_dt <= RATE_DT_LIMIT
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=stepping_cases(),
+        dL=st.floats(-3.0, 3.0),
+        dM=st.floats(-3.0, 3.0),
+        log_dt=st.floats(-5.0, -0.5),
+        n_steps=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_steps_match_band_reference_bitwise(self, case, dL, dM, log_dt, n_steps, seed):
+        params, w, counts, centre = case
+        L, M = centre + dL, centre + dM
+        dt = 10.0 ** log_dt
+        ens = Ensemble(params, w, counts, L, M)
+        ref = BandStepReference(params, w, counts, L, M)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n_steps):
+            errors = []
+            for stepper, gen in ((ens, rng), (ref, rng_ref)):
+                try:
+                    stepper.step(dt, gen)
+                    errors.append(None)
+                except (StepTooLarge, RateOverflow, ValueError) as e:
+                    errors.append(type(e))
+            assert errors[0] == errors[1]
+            if errors[0] is not None:
+                return
+            assert np.array_equal(ens.counts, ref.counts)
+            assert (ens.L, ens.M, ens.t) == (ref.L, ref.M, ref.t)
+            assert ens.max_rate_dt == ref.max_rate_dt
+            occ = np.flatnonzero(ens.counts)
+            assert (ens._lo, ens._hi) == (occ[0], occ[-1] + 1)
+            assert ens.band_max <= w.size
 
     @pytest.mark.parametrize(
         "L, M",
@@ -297,6 +374,9 @@ class TestRun:
             assert math.isfinite(s.L) and math.isfinite(s.M)
         assert 0.0 <= log.max_rate_dt <= RATE_DT_LIMIT
         assert log.steps == math.ceil(run["t_final"] / run["dt"] - 1e-12)
+        # every step of a run draws, the first one too
+        assert (log.band_max >= 1) == (log.steps >= 1)
+        assert log.band_max <= run["p0"].window.size
 
     def test_stream_pinned(self):
         p0 = LatticeMeasure.delta(0, Window.symmetric(25))
