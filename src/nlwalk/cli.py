@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -190,9 +191,12 @@ class RunConfig:
             raise ConfigError(f"invalid initial section: {e}") from e
 
     def integrator(self) -> IntegratorConfig:
+        # one integrator; the key stays so that configs naming it still load
+        method = self.get("integrator", "method", "splitting")
+        if method != "splitting":
+            raise ConfigError(f"unknown integrator method {method!r}")
         try:
             return IntegratorConfig(
-                method=self.get("integrator", "method", "splitting"),
                 dt_init=self.getfloat("integrator", "dt_init", 1e-3),
                 rel_tol=self.getfloat("integrator", "rel_tol", 1e-8),
                 abs_tol=self.getfloat("integrator", "abs_tol", 1e-12),
@@ -511,6 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a library warning that is shown reaches stderr as one line, without
+    # the source line Python echoes after it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
@@ -521,6 +529,8 @@ def main(argv=None) -> int:
         # a library call refused an input value the config passed through
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -1,30 +1,21 @@
 """Integration of the coupled measure/(L, M) system on a finite window.
 
-Two integrators are provided:
+`integrate` takes adaptive, Richardson-extrapolated Strang steps.  A
+Strang step S_h runs the (L, M) half-steps on the exact flow with the
+measure frozen (a scalar linear ODE in exp(-cL) resp. exp(cM)), and the
+measure step on the exact propagator of the frozen birth-death generator
+via the symmetric-tridiagonal eigendecomposition of its detailed-balance
+symmetrization.  S_h is symmetric, so its error has odd powers of h only,
+and (4 S_{h/2}^2 - S_h) / 3 is of order 4; S_{h/2}^2 - S_h estimates the
+error that sets the next step.
 
-* "rk4"       -- fixed-step classical Runge-Kutta on the full state, the
-                 reference on narrow windows;
-* "splitting" -- adaptive, Richardson-extrapolated Strang splitting.  A
-                 Strang step S_h runs the (L, M) half-steps on the exact
-                 flow with the measure frozen (a scalar linear ODE in
-                 exp(-cL) resp. exp(cM)), and the measure step on the
-                 exact propagator of the frozen birth-death generator via
-                 the symmetric-tridiagonal eigendecomposition of its
-                 detailed-balance symmetrization.  S_h is symmetric, so
-                 its error has odd powers of h only, and
-                 (4 S_{h/2}^2 - S_h) / 3 is of order 4; S_{h/2}^2 - S_h
-                 estimates the error that sets the next step.
-
-The explicit method is limited by the stiffness of the truncated
-generator (diagonal entries grow like exp(c|n|)), so the splitting method
-is the one that can run wide windows.
-
-All rates come from model.rate_arrays.  The splitting method uses the
-rates at L = M = 0, since lambda(L) = lambda(0) e^{cL} and
-mu(M) = mu(0) e^{-cM}; that table must stay within exp(EXP_LIMIT), so a
-window with c * max|n| > EXP_LIMIT raises RateOverflow before the first
-step.  Each method advances (p, L, M) over one sample interval, and one
-loop records the samples.
+All rates come from model.rate_arrays.  The steps use the rates at
+L = M = ref, the window centre ref = (n_min + n_max) / 2, since
+lambda(L) = lambda(ref) e^{c(L - ref)} and mu(M) = mu(ref) e^{-c(M - ref)};
+they carry L - ref, M - ref and the sites minus ref, and ref is added
+back at each sample.  That table must stay within exp(EXP_LIMIT), so a
+window with c * (n_max - n_min) / 2 > EXP_LIMIT raises RateOverflow
+before the first step.
 """
 
 from __future__ import annotations
@@ -44,8 +35,6 @@ from .model import EXP_LIMIT, ModelParams, rate_arrays
 MASS_TOL = 1e-9
 NEG_TOL = 1e-9
 BOUNDARY_WARN = 1e-8
-# relative slack of the rk4 step count against round-off in (t1 - t0) / dt
-SUBSTEP_ROUNDOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,10 +67,9 @@ class SystemState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "splitting"  # splitting | rk4
-    # rk4: the fixed step; splitting: the first trial step
+    # the first trial step
     dt_init: float = 1e-3
-    # splitting accepts a step when its error estimate is within
+    # a step is accepted when its error estimate is within
     # abs_tol + rel_tol * |p|_1 in |delta p|_1, and within rel_tol in
     # c*|delta L| and c*|delta M| (the relative error of e^{cL}, e^{-cM})
     rel_tol: float = 1e-8
@@ -90,10 +78,9 @@ class IntegratorConfig:
     n_samples: int = 201
 
     def __post_init__(self):
-        if self.method not in ("splitting", "rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if not (self.dt_init > 0 and self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("dt_init and tolerances must be positive")
+        for v in (self.dt_init, self.rel_tol, self.abs_tol):
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError("dt_init and tolerances must be positive and finite")
 
 
 @dataclass
@@ -128,8 +115,10 @@ class TrajectoryLog:
         return self.samples[-1].state
 
 
-def _rhs(params, window, p, L, M) -> Tuple[np.ndarray, float, float]:
-    lam, mu = rate_arrays(params, L, M, window)
+def rhs(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, float]:
+    """(dp, dL, dM) of the truncated system; sum(dp) = 0 in exact arithmetic."""
+    p = state.p.values
+    lam, mu = rate_arrays(params, state.L, state.M, state.window)
     dp = -(lam + mu) * p
     dp[1:] += lam[:-1] * p[:-1]
     dp[:-1] += mu[1:] * p[1:]
@@ -138,26 +127,25 @@ def _rhs(params, window, p, L, M) -> Tuple[np.ndarray, float, float]:
     return dp, dL, dM
 
 
-def rhs(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, float]:
-    """(dp, dL, dM) of the truncated system; sum(dp) = 0 in exact arithmetic."""
-    return _rhs(params, state.window, state.p.values, state.L, state.M)
-
-
 def conserved_K(state: SystemState) -> float:
     """K = L + M + sum n p_n, conserved when C_lambda = C_mu."""
     return state.L + state.M + mean_position(state.p)
 
 
 # ---------------------------------------------------------------------------
-# splitting integrator pieces
+# splitting steps, in coordinates relative to the window centre ref: L, M
+# and the sites n stand for L - ref, M - ref and n - ref, and a_vec, b_vec
+# are the rates at L = M = ref
 
 
 def _zflow(params, a_vec, b_vec, p, L, M, h):
-    """Exact (L, M) flow over time h with the measure frozen; a_vec and
-    b_vec are the rates at L = M = 0."""
+    """Exact (L, M) flow over time h with the measure frozen."""
     c = params.c
     if max(abs(c * L), abs(c * M)) > EXP_LIMIT:
-        raise RateOverflow(f"barrier exponent out of range (L={L}, M={M}, c={c})")
+        raise RateOverflow(
+            f"barrier exponent out of range (L={L}, M={M} from the window "
+            f"centre, c={c})"
+        )
     A = float(np.dot(p, a_vec))
     B = float(np.dot(p, b_vec))
     # u = e^{-cL}: u' = c(A - C_lambda u); v = e^{cM}: v' = c(B - C_mu v).
@@ -173,8 +161,7 @@ def _zflow(params, a_vec, b_vec, p, L, M, h):
 
 
 def _pflow(params, a_vec, b_vec, n, p, L, M, h):
-    """Exact measure step over time h with (L, M) frozen; a_vec and b_vec
-    are the rates at L = M = 0 on the sites n.
+    """Exact measure step over time h with (L, M) frozen.
 
     The truncated generator is reversible with respect to the discrete
     Gaussian centered at s = (L+M)/2; conjugating by its square root
@@ -265,46 +252,6 @@ def _splitting_advance(params, a_vec, b_vec, n, p, L, M, t_span, h, config):
     return p, L, M, h, accepted, rejected
 
 
-# ---------------------------------------------------------------------------
-# explicit steppers
-
-
-def _rhs_flat(params, window, y):
-    size = window.size
-    dp, dL, dM = _rhs(params, window, y[:size], y[size], y[size + 1])
-    return np.concatenate([dp, [dL, dM]])
-
-
-def _substeps(t0, t1, dt):
-    """(n, h): the fewest equal steps of length h <= dt that span [t0, t1];
-    a ratio (t1 - t0) / dt within round-off of an integer counts as that
-    integer (0.1 / 1e-4 is 1000.0000000000001)."""
-    ratio = (t1 - t0) / dt
-    n_steps = max(1, math.ceil(ratio * (1.0 - SUBSTEP_ROUNDOFF)))
-    return n_steps, (t1 - t0) / n_steps
-
-
-def _rk4_advance(params, window, y, t_span, config):
-    n_steps, h = _substeps(*t_span, config.dt_init)
-    for _ in range(n_steps):
-        k1 = _rhs_flat(params, window, y)
-        k2 = _rhs_flat(params, window, y + 0.5 * h * k1)
-        k3 = _rhs_flat(params, window, y + 0.5 * h * k2)
-        k4 = _rhs_flat(params, window, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y, n_steps, 0
-
-
-def _check_explicit_stability(params, state, dt):
-    lam, mu = rate_arrays(params, state.L, state.M, state.window)
-    max_diag = float((lam + mu).max())
-    if dt * max_diag >= 0.5:
-        raise StepSizeUnderflow(
-            f"dt_init * max generator diagonal = {dt * max_diag:g} >= 0.5; "
-            "narrow the window or use the splitting method"
-        )
-
-
 def _sample_times(state0, T, config):
     if config.t_samples is not None:
         ts = np.asarray(sorted(set(float(t) for t in config.t_samples)))
@@ -325,8 +272,9 @@ def integrate(
     """Integrate the system over [t0, t0 + T], sampling diagnostics.
 
     At each sample the conserved K, total mass and boundary mass are
-    recorded from the raw (unclipped) measure; tiny negatives are then
-    clipped and the measure renormalized once per sample.  Raises
+    recorded from the raw (unclipped) measure, with K's positions summed
+    from the window centre; tiny negatives are then clipped and the
+    measure renormalized once per sample.  Raises
     PositivityLost / StepSizeUnderflow on tolerance violations and
     RateOverflow when (L, M) leaves the range representable on the window
     (the no-explosion bounds L <= L0 + C_lambda*t, M >= M0 - C_mu*t say
@@ -336,6 +284,8 @@ def integrate(
         raise ValueError("T must be nonnegative")
     window = state0.window
     log = TrajectoryLog(params=params)
+    ref = 0.5 * (window.n_min + window.n_max)
+    n = window.sites() - ref
 
     def record(t, p_raw, L, M):
         mass = float(p_raw.sum())
@@ -354,7 +304,9 @@ def integrate(
             )
         measure = LatticeMeasure.normalized(window, p_raw)
         state = SystemState(p=measure, L=L, M=M, t=t)
-        K_raw = L + M + float(np.dot(window.sites().astype(float), p_raw))
+        # positions from the window centre, so that a mass error adds
+        # (mass - 1) * (n - ref), not (mass - 1) * n, to K
+        K_raw = L + M + ref + float(np.dot(n, p_raw))
         log.samples.append(
             TrajectorySample(
                 t=t, state=state, K=K_raw, mass=mass,
@@ -367,36 +319,15 @@ def integrate(
     p = record(ts[0], state0.p.values.copy(), state0.L, state0.M)
     if T == 0 or len(ts) == 1:
         return log
-    L, M = state0.L, state0.M
-
-    # advance(p, L, M, t_span) -> (p, L, M, accepted, rejected): one
-    # sample interval later, with the steps it took
-    if config.method == "splitting":
-        a_vec, b_vec = rate_arrays(params, 0.0, 0.0, window)
-        if not (np.isfinite(a_vec).all() and np.isfinite(b_vec).all()):
-            raise RateOverflow("jump rates overflowed on the window")
-        n = window.sites().astype(float)
-        h = config.dt_init
-
-        def advance(p, L, M, t_span):
-            nonlocal h
-            p, L, M, h, accepted, rejected = _splitting_advance(
-                params, a_vec, b_vec, n, p, L, M, t_span, h, config
-            )
-            return p, L, M, accepted, rejected
-
-    else:
-        _check_explicit_stability(params, state0, config.dt_init)
-        size = window.size
-
-        def advance(p, L, M, t_span):
-            y = np.concatenate([p, [L, M]])
-            y, accepted, rejected = _rk4_advance(params, window, y, t_span, config)
-            return y[:size], y[size], y[size + 1], accepted, rejected
-
+    a_vec, b_vec = rate_arrays(params, ref, ref, window)
+    if not (np.isfinite(a_vec).all() and np.isfinite(b_vec).all()):
+        raise RateOverflow("jump rates overflowed on the window")
+    L, M, h = state0.L - ref, state0.M - ref, config.dt_init
     for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-        p, L, M, accepted, rejected = advance(p, L, M, (t_lo, t_hi))
+        p, L, M, h, accepted, rejected = _splitting_advance(
+            params, a_vec, b_vec, n, p, L, M, (t_lo, t_hi), h, config
+        )
         log.steps += accepted
         log.rejected_steps += rejected
-        p = record(t_hi, p, L, M)
+        p = record(t_hi, p, L + ref, M + ref)
     return log

@@ -44,7 +44,7 @@ def bench_log_T20(bench_params, bench_state0):
         bench_params,
         bench_state0,
         20.0,
-        IntegratorConfig(method="splitting", dt_init=2.5e-4, n_samples=201),
+        IntegratorConfig(dt_init=2.5e-4, n_samples=201),
     )
     return annotate(bench_params, log)
 

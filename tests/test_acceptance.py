@@ -54,7 +54,7 @@ def bench_log_T50(bench_params, bench_state0):
         bench_params,
         bench_state0,
         50.0,
-        IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=201),
+        IntegratorConfig(dt_init=1e-3, n_samples=201),
     )
 
 
@@ -93,8 +93,7 @@ def test_criterion_03_K_conservation(bench_params, bench_state0, bench_log_T20):
                 bench_state0,
                 2.0,
                 IntegratorConfig(
-                    method="splitting", dt_init=1e-3, rel_tol=rel_tol,
-                    abs_tol=abs_tol, n_samples=11,
+                    dt_init=1e-3, rel_tol=rel_tol, abs_tol=abs_tol, n_samples=11,
                 ),
             )
             k0 = log.samples[0].K
@@ -151,7 +150,7 @@ def test_criterion_07_path_sampler(bench_params, bench_state0):
             bench_params,
             bench_state0,
             1.0,
-            IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=21),
+            IntegratorConfig(dt_init=1e-3, n_samples=21),
         )
         path = FrozenPath.from_log(log)
         w = bench_state0.window

@@ -3,7 +3,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import textwrap
 import time
 import warnings
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nlwalk
 from nlwalk import (
     IntegratorConfig,
     LatticeMeasure,
@@ -52,6 +56,10 @@ seed = 1
 """
 
 
+# the window [-3, 3] is too narrow: one sample, at t = 1, with edge mass
+NARROW = BASE.replace("m = 12", "m = 3").replace("n_samples = 11", "n_samples = 2")
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
@@ -89,7 +97,7 @@ class TestSimulate:
         )
         log = integrate(
             ModelParams(), state0, 1.0,
-            IntegratorConfig(method="splitting", dt_init=0.001, n_samples=11),
+            IntegratorConfig(dt_init=0.001, n_samples=11),
         )
         assert log.steps > 0
         assert (summary["steps"], summary["rejected_steps"]) == (
@@ -112,19 +120,49 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", cfg]) == 3
 
-    def test_numerical_failure(self, tmp_path):
-        # explicit RK on the wide window is rejected by the stability guard
-        text = BASE.replace("m = 12", "m = 25").replace(
-            "method = splitting", "method = rk4"
-        )
+    def test_numerical_failure(self, tmp_path, capsys):
+        # no step size meets a relative tolerance of 1e-300
+        text = BASE.replace("dt_init = 0.001", "dt_init = 0.001\nrel_tol = 1e-300")
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith("error: step ")
 
     def test_unknown_integrator_method(self, tmp_path, capsys):
-        # the integrators are splitting and rk4; rk45 is not one of them
-        cfg = write_config(tmp_path, BASE.replace("method = splitting", "method = rk45"))
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "unknown integrator method" in capsys.readouterr().err
+        # splitting is the one integrator; the key stays so that configs
+        # naming it still load
+        for method in ("rk45", "rk4"):
+            cfg = write_config(
+                tmp_path, BASE.replace("method = splitting", f"method = {method}")
+            )
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "unknown integrator method" in capsys.readouterr().err
+
+    def test_warning_is_one_stderr_line(self, tmp_path):
+        # mass reaches the edge of [-3, 3]: the boundary-mass warning is
+        # printed as one "warning:" line, without Python's source echo
+        cfg = write_config(tmp_path, NARROW)
+        env = dict(os.environ, PYTHONPATH=str(Path(nlwalk.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlwalk.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: boundary mass ")
+
+    def test_warning_stays_visible_to_callers(self, tmp_path, capsys):
+        # a caller that records warnings gets the warning itself, and the
+        # CLI's formatting is undone when main returns
+        cfg = write_config(tmp_path, NARROW)
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert str(caught[0].message).startswith("boundary mass ")
+        assert capsys.readouterr().err == ""
+        assert warnings.formatwarning is formatwarning
 
     @pytest.mark.parametrize("command", ["simulate", "particles"])
     @pytest.mark.parametrize("key", ["l0", "m0"])
@@ -144,27 +182,31 @@ class TestSimulate:
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "replacements",
+        "replacements, code",
         [
-            {"m0 = -0.4": "m0 = 800"},
-            {"l0 = 1.3": "l0 = -800"},
-            {
-                "m = 12": "n_min = 710\nsize = 21",
-                "p = delta:0": "p = delta:720",
-                "l0 = 1.3": "l0 = 721.3",
-                "m0 = -0.4": "m0 = 719.6",
-            },
+            ({"m0 = -0.4": "m0 = 800"}, 4),
+            ({"l0 = 1.3": "l0 = -800"}, 4),
+            (
+                {
+                    "m = 12": "n_min = 710\nsize = 21",
+                    "p = delta:0": "p = delta:720",
+                    "l0 = 1.3": "l0 = 721.3",
+                    "m0 = -0.4": "m0 = 719.6",
+                },
+                0,
+            ),
         ],
         ids=["m0-800", "l0-minus-800", "window-710"],
     )
-    def test_barrier_exponent_overflow(self, tmp_path, capsys, replacements):
-        # e^{-cL}, e^{cM} or the window's rate factors leave exp's range
+    def test_barrier_exponent_overflow(self, tmp_path, capsys, replacements, code):
+        # e^{-cL} or e^{cM} leaves exp's range; the window's rate factors
+        # are taken at its centre, so a window far from 0 is in range
         text = BASE
         for old, new in replacements.items():
             text = text.replace(old, new)
         cfg = write_config(tmp_path, text)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-        assert "out of range" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert ("out of range" in capsys.readouterr().err) == (code == 4)
 
 
 class TestOtherCommands:
@@ -410,7 +452,7 @@ class TestOtherCommands:
             ModelParams(),
             integrate(
                 ModelParams(), state0, 1.0,
-                IntegratorConfig(method="splitting", dt_init=0.001, n_samples=11),
+                IntegratorConfig(dt_init=0.001, n_samples=11),
             ),
         )
         assert len(log.samples) == len(W)
@@ -542,6 +584,12 @@ FUZZ_BASE = README_CONFIG.replace("t_final = 20.0", "t_final = 0.2").replace(
     n_paths = 20
     sample_times = 0.0, 0.1
     path = constant
+
+    [kernel]
+    t0 = 0.0
+    t1 = 0.1
+    substeps = 2
+    path = constant
     """
 )
 # Every value a key can be given: invalid, degenerate or extreme.  The
@@ -581,7 +629,8 @@ def test_fuzzed_configs_exit_with_documented_codes(tmp_path, text):
     # whatever a config holds, a command exits 0, 2, 3 or 4, and its stderr
     # is empty or one "error:" line: no traceback, no printed warning
     cfg = write_config(tmp_path, text, "fuzz.ini")
-    for command in ("simulate", "particles", "solve-s", "fixed-point", "sample-paths"):
+    for command in ("simulate", "particles", "solve-s", "fixed-point", "sample-paths",
+                    "kernel-check", "diagnose"):
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), \

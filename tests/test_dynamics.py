@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from nlwalk import (
     ConstantBeta,
@@ -176,12 +177,19 @@ class TestIntegrate:
         assert len(log.samples) == 1
         assert log.final().L == state0.L
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["dt_init", "rel_tol", "abs_tol"])
+    def test_non_finite_config_rejected(self, key, value):
+        # an infinite tolerance would accept every step unchecked
+        with pytest.raises(ValueError, match="positive and finite"):
+            IntegratorConfig(**{key: value})
+
     def test_mass_and_monitors(self, bench_params, bench_state0):
         log = integrate(
             bench_params,
             bench_state0,
             2.0,
-            IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=21),
+            IntegratorConfig(dt_init=1e-3, n_samples=21),
         )
         assert all(abs(s.mass - 1.0) < 1e-9 for s in log.samples)
         assert all(s.min_p >= -1e-9 for s in log.samples)
@@ -189,34 +197,26 @@ class TestIntegrate:
         times = log.times
         assert (np.diff(times) > 0).all()
 
-    def test_splitting_vs_rk4(self):
-        # cross-validation of the two integration routes on a narrow window
-        # where the explicit method is stable
+    def test_splitting_vs_dop853(self):
+        # the splitting integrator against an rtol = 1e-13 order-8
+        # Runge-Kutta solution of rhs on a narrow window
         params = ModelParams()
         w = Window.symmetric(5)
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=0.3, M=-0.2)
-        a = integrate(
-            params, state0, 0.5,
-            IntegratorConfig(method="splitting", dt_init=1e-4, n_samples=6),
-        )
-        b = integrate(
-            params, state0, 0.5,
-            IntegratorConfig(method="rk4", dt_init=1e-4, n_samples=6),
-        )
-        assert abs(a.final().L - b.final().L) < 1e-6
-        assert abs(a.final().M - b.final().M) < 1e-6
-        assert total_variation(a.final().p, b.final().p) < 1e-6
+        a = integrate(params, state0, 0.5, IntegratorConfig(dt_init=1e-4, n_samples=6))
 
-    def test_explicit_stability_guard(self, bench_params, bench_state0):
-        # window [-25,25] has generator diagonal ~ e^26; explicit RK at
-        # dt = 1e-3 must refuse rather than blow up
-        with pytest.raises(StepSizeUnderflow):
-            integrate(
-                bench_params,
-                bench_state0,
-                0.1,
-                IntegratorConfig(method="rk4", dt_init=1e-3),
-            )
+        def f(t, y):
+            state = SystemState(p=LatticeMeasure(w, y[:-2]), L=y[-2], M=y[-1])
+            dp, dL, dM = rhs(params, state)
+            return np.concatenate([dp, [dL, dM]])
+
+        y0 = np.concatenate([state0.p.values, [state0.L, state0.M]])
+        ref = solve_ivp(f, (0.0, 0.5), y0, method="DOP853", rtol=1e-13, atol=1e-15)
+        y = ref.y[:, -1]
+        assert ref.success and ref.t[-1] == 0.5
+        assert abs(a.final().L - y[-2]) < 1e-10
+        assert abs(a.final().M - y[-1]) < 1e-10
+        assert total_variation(a.final().p, LatticeMeasure(w, y[:-2])) < 1e-10
 
     def test_d_independence_weak_form(self):
         # same p(0) and s(0), different d(0): both trajectories share K and
@@ -225,7 +225,7 @@ class TestIntegrate:
         w = Window.symmetric(15)
         p0 = LatticeMeasure.delta(0, w)
         s0 = 0.3
-        cfg = IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=13)
+        cfg = IntegratorConfig(dt_init=1e-3, n_samples=13)
         runs = []
         for d0 in (0.5, -0.4):
             state0 = SystemState(p=p0, L=s0 + d0, M=s0 - d0)
@@ -245,7 +245,7 @@ class TestIntegrate:
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=0.5, M=-0.5)
         log = integrate(
             params, state0, 1.0,
-            IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=5),
+            IntegratorConfig(dt_init=1e-3, n_samples=5),
         )
         assert within_no_explosion_bounds(log)
 
@@ -264,39 +264,60 @@ def _log_digest(log):
 
 class TestGoldenSamples:
     """sha256 of every sample's p, t, L, M, K, mass and min_p, pinned so
-    that a refactor of the integrators cannot move a single bit."""
+    that a refactor of the integrator cannot move a single bit."""
 
     def test_splitting_readme(self, bench_params, bench_state0):
         log = integrate(
             bench_params, bench_state0, 1.0,
-            IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=21),
+            IntegratorConfig(dt_init=1e-3, n_samples=21),
         )
         assert _log_digest(log) == "0cfc86f9e512234520e8788748ad8094f70315f38eec68b2447a2529a2126fac"
-
-    def test_explicit_narrow_window(self):
-        # rk4 at exactly 1 000 steps per sample interval of 0.1
-        state0 = SystemState(
-            p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0.3, M=-0.2
-        )
-        log = integrate(
-            ModelParams(), state0, 0.5,
-            IntegratorConfig(method="rk4", dt_init=1e-4, n_samples=6),
-        )
-        assert log.steps == 5000
-        assert _log_digest(log) == "77576aa315f9985b5bb10c8412a7be5e8a883ab0afebce659f4173c2a7bf876f"
 
 
 class TestSplittingWindowLimit:
     def test_rate_factor_overflow_at_start(self):
-        # the splitting factors are the rates at L = M = 0, which must stay
-        # within exp(EXP_LIMIT): here c * max|n| = 702
-        w = Window(690, 13)
-        state0 = SystemState(p=LatticeMeasure.delta(696, w), L=696.0, M=696.0)
+        # the splitting factors are the rates at the window centre, which
+        # must stay within exp(EXP_LIMIT): here c * (n_max - n_min) / 2 =
+        # 700.5, so no (L, M) passes the exponent rule
+        w = Window(0, 1402)
+        state0 = SystemState(p=LatticeMeasure.delta(700, w), L=700.0, M=700.0)
         with pytest.raises(RateOverflow, match="out of range on window"):
             integrate(
                 ModelParams(), state0, 0.01,
-                IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=2),
+                IntegratorConfig(dt_init=1e-3, n_samples=2),
             )
+
+    def test_offset_window_integrates(self):
+        # c * max|n| = 702 here, but the factors are taken at the centre 696
+        w = Window(690, 13)
+        state0 = SystemState(p=LatticeMeasure.delta(696, w), L=696.0, M=696.0)
+        log = integrate(
+            ModelParams(), state0, 0.5, IntegratorConfig(dt_init=1e-4, n_samples=6)
+        )
+        assert log.final().L == pytest.approx(695.935, abs=1e-3)
+
+    def test_shift_invariance(self):
+        # with constant beta the system commutes with a shift of the
+        # lattice and of L, M: [-10, 10] and [710, 730] take the same steps
+        params = ModelParams()
+        config = IntegratorConfig(n_samples=11)
+        a = integrate(
+            params,
+            SystemState(p=LatticeMeasure.delta(0, Window(-10, 21)), L=1.3, M=-0.4),
+            5.0, config,
+        )
+        b = integrate(
+            params,
+            SystemState(
+                p=LatticeMeasure.delta(720, Window(710, 21)), L=721.3, M=719.6
+            ),
+            5.0, config,
+        )
+        assert (a.steps, a.rejected_steps) == (b.steps, b.rejected_steps)
+        for x, y in zip(a.samples, b.samples, strict=True):
+            assert abs(x.state.L - (y.state.L - 720.0)) <= 1e-9
+            assert abs(x.state.M - (y.state.M - 720.0)) <= 1e-9
+            assert 0.5 * np.abs(x.state.p.values - y.state.p.values).sum() <= 1e-10
 
 
 class TestExtrapolatedSplitting:
@@ -356,28 +377,14 @@ class TestExtrapolatedSplitting:
                 IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300),
             )
 
-    def test_explicit_methods_count_steps(self):
-        state0 = SystemState(
-            p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0.3, M=-0.2
-        )
-        rk4 = integrate(
-            ModelParams(), state0, 0.5,
-            IntegratorConfig(method="rk4", dt_init=1e-3, n_samples=6),
-        )
-        # interval / dt_init = 100 equal steps per sample interval, although
-        # the float ratio 0.1 / 1e-3 is 100.00000000000001
-        assert (rk4.steps, rk4.rejected_steps) == (500, 0)
-
 
 @st.composite
 def _splitting_cases(draw):
     c = draw(st.floats(0.4, 1.6))
-    size = draw(st.integers(3, 41))
-    reach = int(600.0 / c)  # c * max|n| <= 600 on the window
-    n_min = draw(
-        st.one_of(st.integers(-size + 1, 0), st.integers(-reach, reach - size + 1))
-    )
+    size = draw(st.integers(3, 41))  # c * (size - 1) / 2 <= 600 on the window
+    n_min = draw(st.one_of(st.integers(-size + 1, 0), st.integers(-10**4, 10**4)))
     window = Window(n_min, size)
+    centre = n_min + 0.5 * (size - 1)
     C_lambda = draw(st.floats(0.5, 2.0))
     C_mu = draw(st.one_of(st.just(C_lambda), st.floats(0.5, 2.0)))
     beta = draw(st.sampled_from(PROFILES))
@@ -386,8 +393,8 @@ def _splitting_cases(draw):
     params = ModelParams(c=c, C_lambda=C_lambda, C_mu=C_mu, beta=beta)
     state0 = SystemState(
         p=LatticeMeasure.delta(draw(st.integers(n_min, n_min + size - 1)), window),
-        L=draw(st.floats(-2.0, 2.0)),
-        M=draw(st.floats(-2.0, 2.0)),
+        L=centre + draw(st.floats(-2.0, 2.0)),
+        M=centre + draw(st.floats(-2.0, 2.0)),
     )
     config = IntegratorConfig(
         dt_init=draw(st.floats(1e-4, 1e-1)), n_samples=draw(st.integers(2, 60))

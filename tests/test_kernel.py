@@ -41,7 +41,7 @@ def readme_path(bench_params, bench_state0):
     """The README config's (L, M) path on [0, 1], as criterion 7 samples it."""
     log = integrate(
         bench_params, bench_state0, 1.0,
-        IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=21),
+        IntegratorConfig(dt_init=1e-3, n_samples=21),
     )
     return FrozenPath.from_log(log)
 
@@ -189,7 +189,7 @@ class TestPropagate:
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)
         log = integrate(
             PARAMS, state0, 0.5,
-            IntegratorConfig(method="splitting", dt_init=2.5e-4, n_samples=51),
+            IntegratorConfig(dt_init=2.5e-4, n_samples=51),
         )
         path = FrozenPath.from_log(log)
         P = propagate(PARAMS, path, 0.0, 0.5, w, substeps=200)
@@ -203,7 +203,7 @@ class TestPropagate:
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)
         log = integrate(
             PARAMS, state0, 0.5,
-            IntegratorConfig(method="splitting", dt_init=2.5e-4, n_samples=51),
+            IntegratorConfig(dt_init=2.5e-4, n_samples=51),
         )
         path = FrozenPath.from_log(log)
         P = propagate(PARAMS, path, 0.0, 0.5, w, substeps=200)
@@ -407,7 +407,7 @@ class TestSamplePaths:
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)
         log = integrate(
             PARAMS, state0, 1.0,
-            IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=11),
+            IntegratorConfig(dt_init=1e-3, n_samples=11),
         )
         path = FrozenPath.from_log(log)
         walks = sample_paths(PARAMS, path, state0.p, [0.0, 1.0], 4000, seed=11)

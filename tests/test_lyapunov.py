@@ -140,7 +140,7 @@ def short_log(bench_params, bench_state0):
         bench_params,
         bench_state0,
         3.0,
-        IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=31),
+        IntegratorConfig(dt_init=1e-3, n_samples=31),
     )
     return annotate(bench_params, log)
 
@@ -158,7 +158,7 @@ class TestMonitor:
         state0 = SystemState(p=fp.pi, L=fp.L_s, M=fp.M_s)
         log = integrate(
             params, state0, 1.0,
-            IntegratorConfig(method="splitting", dt_init=1e-3, n_samples=11),
+            IntegratorConfig(dt_init=1e-3, n_samples=11),
         )
         report = monitor(log)
         assert report.violations == 0
