@@ -240,24 +240,16 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _run_trajectory(cfg: RunConfig) -> TrajectoryLog:
+def _integrate(cfg: RunConfig) -> TrajectoryLog:
     T = cfg.getfloat("run", "t_final", 20.0)
-    log = integrate(cfg.params, cfg.initial_state(), T, cfg.integrator())
-    annotate(cfg.params, log)
-    return log
+    return integrate(cfg.params, cfg.initial_state(), T, cfg.integrator())
 
 
-def _write_trajectory_csv(path: Path, cfg: RunConfig, log: TrajectoryLog) -> float:
-    """One row per sample; returns the final TV to the K-matched fixed
-    point (nan when none exists)."""
-    s_star = None
-    pi_star = None
-    if cfg.params.mean_reverting:
-        try:
-            s_star = solve_s_from_K(cfg.params, log.samples[0].K)
-            pi_star = fixed_point(cfg.params, s_star, log.window).pi
-        except NlwalkError:
-            pass
+def _write_trajectory_csv(
+    path: Path, log: TrajectoryLog, pi_star: Optional[LatticeMeasure]
+) -> float:
+    """One row per sample; returns the final TV to pi_star (nan when it is
+    None)."""
     tv_final = math.nan
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -291,15 +283,19 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "there are no fixed points"
         )
     out = _out_dir(cfg, args)
-    log = _run_trajectory(cfg)
+    log = annotate(cfg.params, _integrate(cfg))
     report = monitor(log)
-    tv_final = _write_trajectory_csv(out / "trajectory.csv", cfg, log)
+    K0 = log.samples[0].K
+    s_star = pi_star = None
+    if cfg.params.mean_reverting:
+        s_star = solve_s_from_K(cfg.params, K0)
+        try:
+            pi_star = fixed_point(cfg.params, s_star, log.window).pi
+        except NlwalkError:
+            pass
+    tv_final = _write_trajectory_csv(out / "trajectory.csv", log, pi_star)
     with (out / "final_measure.csv").open("w", newline="") as fh:
         write_measure_csv(log.final().p, fh)
-    K0 = log.samples[0].K
-    s_star = (
-        solve_s_from_K(cfg.params, K0) if cfg.params.mean_reverting else None
-    )
     _write_json(
         out / "summary.json",
         {
@@ -358,7 +354,7 @@ def _frozen_path(cfg: RunConfig, section: str) -> kernel_mod.FrozenPath:
     if mode == "constant":
         return kernel_mod.FrozenPath.constant(state0.L, state0.M)
     if mode == "dynamics":
-        return kernel_mod.FrozenPath.from_log(_run_trajectory(cfg))
+        return kernel_mod.FrozenPath.from_log(_integrate(cfg))
     raise ConfigError(f"unknown path mode {mode!r} in [{section}]")
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -74,7 +74,6 @@ class IntegratorConfig:
     # c*|delta L| and c*|delta M| (the relative error of e^{cL}, e^{-cM})
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    t_samples: Optional[Sequence[float]] = None
     n_samples: int = 201
 
     def __post_init__(self):
@@ -252,20 +251,6 @@ def _splitting_advance(params, a_vec, b_vec, n, p, L, M, t_span, h, config):
     return p, L, M, h, accepted, rejected
 
 
-def _sample_times(state0, T, config):
-    if config.t_samples is not None:
-        ts = np.asarray(sorted(set(float(t) for t in config.t_samples)))
-        if ts[0] < state0.t - 1e-12 or ts[-1] > state0.t + T + 1e-12:
-            raise ValueError("t_samples outside the integration interval")
-    else:
-        ts = np.linspace(state0.t, state0.t + T, max(2, config.n_samples))
-    if abs(ts[0] - state0.t) > 1e-12:
-        ts = np.concatenate([[state0.t], ts])
-    if abs(ts[-1] - (state0.t + T)) > 1e-12:
-        ts = np.concatenate([ts, [state0.t + T]])
-    return ts
-
-
 def integrate(
     params: ModelParams, state0: SystemState, T: float, config: IntegratorConfig
 ) -> TrajectoryLog:
@@ -315,9 +300,9 @@ def integrate(
         )
         return measure.values.copy()
 
-    ts = _sample_times(state0, T, config)
+    ts = np.linspace(state0.t, state0.t + T, max(2, config.n_samples))
     p = record(ts[0], state0.p.values.copy(), state0.L, state0.M)
-    if T == 0 or len(ts) == 1:
+    if T == 0:
         return log
     a_vec, b_vec = rate_arrays(params, ref, ref, window)
     if not (np.isfinite(a_vec).all() and np.isfinite(b_vec).all()):

@@ -53,10 +53,6 @@ class PositivityLost(NumericalError):
     """The integrated measure developed negative mass beyond tolerance."""
 
 
-class UniformizationOverflow(NumericalError):
-    """Dominating rate times span too large for the jump-count series."""
-
-
 class NonConstantPath(NlwalkError):
     """Dyson evaluation needs a constant (L, M) path on the interval."""
 

@@ -13,15 +13,15 @@ time-ordered expansion, summed up to k_max, with an a-priori remainder
 bound (||V|| (t1-t0))^{k_max+1}/(k_max+1)! * exp(||V|| (t1-t0)) in the
 weighted operator norm.
 
-For a constant generator the jump-count terms are evaluated exactly by
-resolving the uniformization expansion by jump count, i.e. the recursion
-G_{m,j} = G_{m-1,j} W0 + G_{m-1,j-1} U over Poisson-weighted words in the
-diagonal part W0 = I + H0/Lam and the off-diagonal part U = V/Lam.  All
-quantities are nonnegative, so even very small far-off-diagonal entries
-keep full relative accuracy (a closed-form convolution of exponentials
-suffers catastrophic cancellation there).  It runs that many Poisson
-terms, so it is a narrow-window oracle: beyond lambda_dom * tau =
-DYSON_LIMIT it raises UniformizationOverflow.
+For a constant generator D + V (D its diagonal) the jump-count terms
+T_k(tau) are the blocks (0, k) of exp(tau Q), Q the layered generator
+with D on the diagonal blocks and V above them, so they double like an
+exponential: T_k(2a) = sum_i T_i(a) T_{k-i}(a).  On a base step h with
+lambda_dom * h <= 2^-10 they come from the uniformization words in
+W0 = I + D/Lam and U = V/Lam resolved by jump count; T_0(a) = exp(a D)
+is taken directly at every level.  Every product is of nonnegative
+matrices, so even very small far-off-diagonal entries keep full
+relative accuracy, and the cost grows like log2(lambda_dom * tau).
 """
 
 from __future__ import annotations
@@ -33,22 +33,13 @@ from typing import IO, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DominatingRateOverflow,
-    NonConstantPath,
-    RateOverflow,
-    UniformizationOverflow,
-)
+from .errors import DominatingRateOverflow, NonConstantPath, RateOverflow
 from .lattice import LatticeMeasure, Window, log_plus_weights
 from .model import ModelParams, rate_arrays
 
 # lambda_dom * tau above which e^{-lambda_dom tau} underflows; the scale
 # against which the benchmark tracer reports each substep's stiffness
 UNIFORMIZATION_LIMIT = 700.0
-# lambda_dom * tau above which dyson_series refuses: it runs about that
-# many Poisson terms (about 3 s at k_max = 6 on 21 sites at the limit)
-DYSON_LIMIT = 1e5
-PMF_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -157,17 +148,21 @@ def generator_at(
     )
 
 
+def _weighted_row_norm(A: np.ndarray, window: Window, alpha: float) -> float:
+    """max_j sum_k w_k |A_jk| / w_j: the norm that A induces on
+    weighted-l1 measures acted on from the left.  The ratios w_k / w_j
+    span hundreds of orders of magnitude, so each term is formed in log
+    space."""
+    log_w = log_plus_weights(window, alpha)
+    with np.errstate(divide="ignore"):
+        terms = np.exp(np.log(np.abs(A)) + log_w - log_w[:, None])
+    return float(terms.sum(axis=1).max())
+
+
 def v_induced_norm(gen: Generator, alpha: float) -> float:
-    """Induced norm of the off-diagonal part on weighted-l1 measures:
-    max_j (w_{j+1} lambda_j + w_{j-1} mu_j) / w_j, by column scan."""
-    log_w = log_plus_weights(gen.window, alpha)
-    up = np.zeros(gen.window.size)
-    down = np.zeros(gen.window.size)
-    lu = np.log(gen.upper, out=np.full_like(gen.upper, -np.inf), where=gen.upper > 0)
-    lm = np.log(gen.lower, out=np.full_like(gen.lower, -np.inf), where=gen.lower > 0)
-    up[:-1] = np.exp(lu + log_w[1:] - log_w[:-1])
-    down[1:] = np.exp(lm + log_w[:-1] - log_w[1:])
-    return float((up + down).max())
+    """Induced norm of the off-diagonal part V on weighted-l1 measures:
+    max_j (w_{j+1} lambda_j + w_{j-1} mu_j) / w_j."""
+    return _weighted_row_norm(gen.as_matrix() - np.diag(gen.diag), gen.window, alpha)
 
 
 def v_norm_bound(
@@ -178,43 +173,9 @@ def v_norm_bound(
     return sup_beta * math.exp(0.5 + abs(alpha)) * (math.exp(-M) + math.exp(L))
 
 
-def _poisson_pmf(lam: float) -> np.ndarray:
-    """Poisson(lam) pmf for k = 0..K with tail mass below PMF_TAIL.
-
-    Built multiplicatively outward from the mode so that large lam never
-    over/underflows.
-    """
-    if lam <= 0.0:
-        return np.array([1.0])
-    mode = int(lam)
-    log_mode = mode * math.log(lam) - lam - math.lgamma(mode + 1)
-    hi = mode
-    val = math.exp(log_mode)
-    upper = [val]
-    while val > PMF_TAIL * 1e-3 or hi < lam:
-        hi += 1
-        val *= lam / hi
-        upper.append(val)
-        if hi > lam + 20 and val < PMF_TAIL * 1e-3:
-            break
-    lower = []
-    val = math.exp(log_mode)
-    lo = mode
-    while lo > 0:
-        val *= lo / lam
-        lo -= 1
-        lower.append(val)
-        if val < PMF_TAIL * 1e-3 and lo < lam - 20:
-            break
-    pmf = np.zeros(hi + 1)
-    pmf[mode:] = upper
-    pmf[lo:mode] = lower[::-1]
-    return pmf
-
-
-# Substep exponentials are squared from a base step h with h * max rate
-# <= 2^-10: hG has row norm <= 2^-9, so the degree-7 Taylor remainder is
-# below 2^-72 / 8! (about 5e-27).
+# Substep exponentials and Dyson terms are squared or doubled from a base
+# step h with h * max rate <= 2^-10: hG has row norm <= 2^-9, so the
+# degree-7 Taylor remainder is below 2^-72 / 8! (about 5e-27).
 _BASE_STEP_LOG2 = 10
 _TAYLOR_DEGREE = 7
 
@@ -323,11 +284,21 @@ def dyson_series(
 ) -> List[Tuple[Kernel, float]]:
     """For each k_max in k_maxes, in order: the partial sum of the
     jump-count series up to k_max jumps, plus the remainder bound in the
-    alpha-weighted operator norm.  The jump-count recursion runs once, up
-    to max(k_maxes); term j never reads a higher term, so each partial
-    sum equals the one a recursion stopped at its own k_max gives."""
+    alpha-weighted operator norm.
+
+    The terms T_1 .. T_K, K = max(k_maxes), are built once over a base
+    step h = tau / 2^s with lambda_dom * h <= 2^-10, from K + 8 Poisson
+    terms (a word with j jumps and i > 7 more letters weighs at most
+    x_h^i / i! <= 2^-80 / 8! of its j-letter word, x_h = lambda_dom * h).
+    They are doubled s times by T_k(2a) = sum_i T_i(a) T_{k-i}(a), with
+    T_0(a) = exp(a D) taken directly, so its error does not double with
+    every level.  Term k never reads a higher term and s depends only on
+    lambda_dom * tau, so each partial sum equals the one a call for its
+    own k_max alone gives."""
     if not k_maxes or min(k_maxes) < 0:
         raise ValueError("k_maxes must be a nonempty list of ints >= 0")
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
     gen = _constant_generator(params, path, t0, t1, window)
     tau = t1 - t0
     n = window.size
@@ -335,35 +306,41 @@ def dyson_series(
         return [(Kernel(window=window, t0=t0, t1=t1, rows=np.eye(n)), 0.0) for _ in k_maxes]
 
     lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
-    if lam_dom * tau > DYSON_LIMIT:
-        raise UniformizationOverflow(
-            f"dyson_series: dominating rate * span = {lam_dom * tau:g} > "
-            f"{DYSON_LIMIT:g}; use a narrower window or a shorter span"
-        )
+    span = lam_dom * tau
+    if not math.isfinite(span):
+        raise RateOverflow(f"dyson_series: dominating rate * span = {span:g} is not finite")
+    s = max(0, math.ceil(math.log2(span) + _BASE_STEP_LOG2))
+    h = math.ldexp(tau, -s)
     w0 = 1.0 + gen.diag / lam_dom  # diagonal of W0, in [0, 1]
-    U = np.zeros((n, n))
-    U += np.diag(gen.upper, 1)
-    U += np.diag(gen.lower, -1)
-    U /= lam_dom
+    U = (gen.as_matrix() - np.diag(gen.diag)) / lam_dom
 
-    # G[j] and R[j] stacked: one batched update per Poisson term
-    pmf = _poisson_pmf(lam_dom * tau)
-    G = np.zeros((max(k_maxes) + 1, n, n))
+    # G[j]: the m-letter words with j letters U; T[j - 1]: T_j(h)
+    K = max(k_maxes)
+    x_h = lam_dom * h
+    weight = math.exp(-x_h)
+    G = np.zeros((K + 1, n, n))
     G[0] = np.eye(n)
-    R = np.zeros_like(G)
-    R[0] = pmf[0] * np.eye(n)
-    for m in range(1, len(pmf)):
+    T = np.zeros((K, n, n))
+    for m in range(1, K + 8):
         G[1:] = G[1:] * w0 + G[:-1] @ U
         G[0] *= w0
-        if pmf[m] > 0.0:
-            R += pmf[m] * G
+        weight *= x_h / m
+        T += weight * G[1:]
+    for level in range(s):
+        e = np.exp(math.ldexp(h, level) * gen.diag)  # T_0 over this level's step
+        doubled = e[:, None] * T + T * e
+        for k in range(2, K + 1):
+            doubled[k - 1] += np.matmul(T[:k - 1], T[k - 2::-1]).sum(axis=0)
+        T = doubled
 
     x = v_induced_norm(gen, params.alpha) * tau
     out = []
     for k in k_maxes:
         log_rem = (k + 1) * math.log(x) - math.lgamma(k + 2) + x if x > 0 else -math.inf
-        remainder = math.exp(log_rem) if log_rem > -700 else 0.0
-        out.append((Kernel(window=window, t0=t0, t1=t1, rows=sum(R[1:k + 1], R[0])), remainder))
+        # a bound past the float range is inf: it bounds nothing
+        remainder = 0.0 if log_rem <= -700 else math.exp(log_rem) if log_rem < 709 else math.inf
+        rows = sum(T[:k], np.diag(np.exp(tau * gen.diag)))
+        out.append((Kernel(window=window, t0=t0, t1=t1, rows=rows), remainder))
     return out
 
 
@@ -371,17 +348,7 @@ def kernel_weighted_distance(a: Kernel, b: Kernel, alpha: float) -> float:
     """Induced weighted-l1 distance max_j sum_k w_k |a_jk - b_jk| / w_j."""
     if a.window != b.window:
         raise ValueError("kernels live on different windows")
-    log_w = log_plus_weights(a.window, alpha)
-    diff = np.abs(a.rows - b.rows)
-    # row j scanned with weights w_k / w_j; done in log space per row
-    out = 0.0
-    for j in range(a.window.size):
-        nz = diff[j] > 0.0
-        if not nz.any():
-            continue
-        terms = np.exp(np.log(diff[j][nz]) + log_w[nz] - log_w[j])
-        out = max(out, float(terms.sum()))
-    return out
+    return _weighted_row_norm(a.rows - b.rows, a.window, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -266,9 +266,9 @@ class TestOtherCommands:
         assert payload["row_sum_deficit"] < 1e-10
         assert payload["min_entry"] >= 0.0
 
-    def test_kernel_check_dyson_refuses_readme_window(self, tmp_path, capsys):
-        # the jump-count series would run about 2.6e10 Poisson terms here
-        # (dominating rate 2.6e11 over 0.1); it must refuse up front
+    def test_kernel_check_dyson_on_readme_window(self, tmp_path):
+        # dominating rate 2.6e11 over 0.1: the jump-count terms take about
+        # 45 doublings, and each partial sum is within its remainder bound
         text = BASE.replace("m = 12", "m = 25") + textwrap.dedent(
             """
             [kernel]
@@ -280,12 +280,14 @@ class TestOtherCommands:
             """
         )
         cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
         start = time.perf_counter()
-        assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
         assert time.perf_counter() - start < 10.0
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "dyson_series" in err
-        assert "Traceback" not in err
+        dyson = json.loads((out / "kernel_check.json").read_text())["dyson"]
+        assert [d["k_max"] for d in dyson] == [2, 4, 6]
+        for d in dyson:
+            assert d["distance"] < d["remainder_bound"]
 
     def test_sample_paths_reproducible(self, tmp_path):
         text = BASE.replace("m = 12", "m = 8") + textwrap.dedent(
@@ -589,6 +591,7 @@ FUZZ_BASE = README_CONFIG.replace("t_final = 20.0", "t_final = 0.2").replace(
     t0 = 0.0
     t1 = 0.1
     substeps = 2
+    k_max = 2
     path = constant
     """
 )

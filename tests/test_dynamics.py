@@ -25,7 +25,7 @@ from nlwalk import (
     solve_s_from_K,
     total_variation,
 )
-from nlwalk.dynamics import MASS_TOL, NEG_TOL
+from nlwalk.dynamics import MASS_TOL, NEG_TOL, _splitting_advance
 from nlwalk.errors import NlwalkError, RateOverflow, StepSizeUnderflow
 from nlwalk.lyapunov import Q_value
 from nlwalk.model import eval_beta, rate_arrays
@@ -360,14 +360,22 @@ class TestExtrapolatedSplitting:
     def test_step_cut_at_a_sample_keeps_the_step(self, bench_params, bench_state0):
         # an extra sample 1e-9 after t = 10 forces a step of 1e-9; the step
         # after it must not start from 5e-9 and climb back
+        w = bench_state0.window
+        ref = 0.5 * (w.n_min + w.n_max)
+        a_vec, b_vec = rate_arrays(bench_params, ref, ref, w)
+        config = IntegratorConfig()
         ts = list(np.linspace(0.0, 20.0, 21))
         counts = []
         for extra in ([], [10.0 + 1e-9]):
-            log = integrate(
-                bench_params, bench_state0, 20.0,
-                IntegratorConfig(t_samples=ts + extra),
-            )
-            counts.append(log.steps)
+            edges = sorted(ts + extra)
+            p, L, M = bench_state0.p.values, bench_state0.L - ref, bench_state0.M - ref
+            h, steps = config.dt_init, 0
+            for span in zip(edges[:-1], edges[1:]):
+                p, L, M, h, accepted, _ = _splitting_advance(
+                    bench_params, a_vec, b_vec, w.sites() - ref, p, L, M, span, h, config
+                )
+                steps += accepted
+            counts.append(steps)
         assert counts[1] <= counts[0] + 2
 
     def test_unreachable_tolerance_raises(self, bench_params, bench_state0):

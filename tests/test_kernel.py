@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from nlwalk import (
     FrozenPath,
     IntegratorConfig,
+    Kernel,
     LatticeMeasure,
     ModelParams,
     SystemState,
@@ -30,6 +31,7 @@ from nlwalk import (
 )
 from nlwalk.errors import NonConstantPath, RateOverflow
 from nlwalk.kernel import PATH_CHUNK, _transition_matrix, write_paths_csv
+from nlwalk.lattice import log_plus_weights
 from nlwalk.model import ConstantBeta, rate_arrays
 
 PATH0 = FrozenPath.constant(1.3, -0.4)
@@ -102,6 +104,27 @@ class TestGenerator:
             assert measured == pytest.approx(
                 math.sqrt(math.e) * (math.exp(L) + math.exp(-M)), rel=1e-12
             )
+
+
+class TestWeightedDistance:
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, -0.3])
+    def test_matches_row_loop(self, alpha):
+        # entries down to e^-600 and rows where the kernels agree, against
+        # the row scan written as a loop over the differing entries
+        w = Window.symmetric(12)
+        rng = np.random.default_rng(3)
+        a, b = rng.random((2, w.size, w.size)) * np.exp(-rng.uniform(0, 600, (2, w.size, w.size)))
+        b[::3] = a[::3]
+        log_w = log_plus_weights(w, alpha)
+        expected = max(
+            math.fsum(
+                math.exp(math.log(abs(x - y)) + log_w[k] - log_w[j])
+                for k, (x, y) in enumerate(zip(a[j], b[j])) if x != y
+            )
+            for j in range(w.size)
+        )
+        got = kernel_weighted_distance(Kernel(w, 0.0, 1.0, a), Kernel(w, 0.0, 1.0, b), alpha)
+        assert got == pytest.approx(expected, rel=1e-13)
 
 
 class TestPropagate:
@@ -249,12 +272,44 @@ class TestDyson:
         with pytest.raises(NonConstantPath):
             dyson_series(PARAMS, moving, 0.0, 1.0, Window.symmetric(5), [2])
 
-    def test_zero_jump_term_is_survival(self):
-        w = Window.symmetric(5)
+    @pytest.mark.parametrize("m, tau", [(5, 0.05), (6, 0.1)])
+    def test_zero_jump_term_is_survival(self, m, tau):
+        # at m = 6, tau = 0.1 the edge sites survive with probability 5e-65
+        w = Window.symmetric(m)
         gen = generator_at(PARAMS, PATH0, 0.0, w)
-        [(approx, _)] = dyson_series(PARAMS, PATH0, 0.0, 0.05, w, k_maxes=[0])
-        expected = np.diag(np.exp(gen.diag * 0.05))
+        [(approx, _)] = dyson_series(PARAMS, PATH0, 0.0, tau, w, k_maxes=[0])
+        expected = np.diag(np.exp(gen.diag * tau))
         assert np.allclose(approx.rows, expected, rtol=1e-10, atol=1e-300)
+
+    def test_matches_mpmath_layered_expm(self):
+        # the k-jump term is block (0, k) of exp(tau Q) for the layered
+        # generator Q: D on the K + 1 diagonal blocks, V on the blocks
+        # above them.  Partial sums against a 60-digit reference,
+        # entrywise relative over the entries above 1e-280
+        K, tau = 2, 0.1
+        w = Window.symmetric(6)
+        gen = generator_at(PARAMS, PATH0, 0.0, w)
+        n = w.size
+        D = np.diag(gen.diag)
+        V = gen.as_matrix() - D
+        with mpmath.workdps(60):
+            Q = mpmath.zeros(n * (K + 1))
+            for b in range(K + 1):
+                for i in range(n):
+                    for j in range(n):
+                        Q[b * n + i, b * n + j] = mpmath.mpf(D[i, j])
+                        if b < K:
+                            Q[b * n + i, (b + 1) * n + j] = mpmath.mpf(V[i, j])
+            E = mpmath.expm(Q * mpmath.mpf(tau))
+            ref = np.cumsum(
+                [[[float(E[i, b * n + j]) for j in range(n)] for i in range(n)]
+                 for b in range(K + 1)],
+                axis=0,
+            )
+        sums = dyson_series(PARAMS, PATH0, 0.0, tau, w, range(K + 1))
+        for (approx, _), exact in zip(sums, ref):
+            big = exact > 1e-280
+            assert (np.abs(approx.rows[big] - exact[big]) / exact[big]).max() <= 1e-13
 
     def test_matches_propagate_within_bound(self):
         w = Window.symmetric(8)
