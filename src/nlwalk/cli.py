@@ -237,7 +237,9 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     payload["config"] = cfg.resolved()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON has no NaN or Infinity: a non-finite float becomes null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _integrate(cfg: RunConfig) -> TrajectoryLog:
@@ -303,7 +305,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "K_drift_max": max(abs(s.K - K0) for s in log.samples),
             "s_star": s_star,
             "s_final": log.final().s,
-            "tv_final": None if math.isnan(tv_final) else tv_final,
+            "tv_final": tv_final,
             "W_violations": report.violations,
             "fixed_point_exists": cfg.params.mean_reverting,
             "steps": log.steps,

@@ -80,6 +80,8 @@ class IntegratorConfig:
         for v in (self.dt_init, self.rel_tol, self.abs_tol):
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError("dt_init and tolerances must be positive and finite")
+        if self.n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
 
 
 @dataclass
@@ -300,7 +302,7 @@ def integrate(
         )
         return measure.values.copy()
 
-    ts = np.linspace(state0.t, state0.t + T, max(2, config.n_samples))
+    ts = np.linspace(state0.t, state0.t + T, config.n_samples)
     p = record(ts[0], state0.p.values.copy(), state0.L, state0.M)
     if T == 0:
         return log

@@ -3,10 +3,10 @@
 The production route builds P(t0, t1) as a fixed-order product of
 per-substep exponentials exp(tau G), each with the generator frozen at
 the substep midpoint.  One exponential is a nonnegative scaling and
-squaring whose diagonal is closed by the off-diagonal row sums (the
-Grassmann-Taksar-Heyman idea): no subtraction ever cancels, so every
-entry keeps full relative accuracy and the rows sum to 1 to roundoff,
-however large lambda_dom * tau is.  It runs on the README window.
+squaring, every row divided by its sum: no subtraction ever cancels, so
+every entry keeps full relative accuracy and the rows sum to 1 to
+roundoff, however large lambda_dom * tau is.  It runs on the README
+window.
 
 The oracle route evaluates the jump-count series: the k-jump term of the
 time-ordered expansion, summed up to k_max, with an a-priori remainder
@@ -180,52 +180,36 @@ _BASE_STEP_LOG2 = 10
 _TAYLOR_DEGREE = 7
 
 
+def _base_step(span: float, tau: float) -> Tuple[int, float]:
+    """(s, h = tau / 2^s), the fewest s >= 0 squarings or doublings with
+    span * 2^-s <= 2^-10, span a dominating rate times tau."""
+    if not math.isfinite(span):
+        raise RateOverflow(f"dominating rate * time = {span:g} is not finite")
+    s = max(0, math.ceil(math.log2(span) + _BASE_STEP_LOG2)) if span else 0
+    return s, math.ldexp(tau, -s)
+
+
 def _transition_matrix(lam: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarray:
     """exp(tau G) of the tridiagonal generator with up-rates lam and
     down-rates mu (lam[-1] = mu[0] = 0, so the rows of G sum to 0).
 
-    With s = max(0, ceil(log2(tau * max(lam + mu) * 2^10))) and
-    h = tau / 2^s, the base matrix is the degree-7 Taylor polynomial of
-    hG with its off-diagonals clipped at 0 and its diagonal closed as
-    1 - (off-diagonal row sum).  It is squared s times.  After each
-    squaring, a row whose diagonal exceeds 1/2 gets its diagonal closed
-    again; any other row is divided by its sum.  Every entry is a sum of
-    nonnegative products, so small entries keep full relative accuracy.
+    The base matrix is the degree-7 Taylor polynomial of hG, h = tau / 2^s
+    from _base_step, with its negative entries clipped at 0; it is squared
+    s times.  The base and every square have each row divided by its sum.
+    No step subtracts, so every entry is a sum of nonnegative products and
+    keeps full relative accuracy, up to an error that grows with s.
     """
-    n = len(lam)
-    eye = np.eye(n)
-    span = float((lam + mu).max()) * tau
-    if span == 0.0:
-        return eye
-    if not math.isfinite(span):
-        raise RateOverflow(f"dominating rate * substep = {span:g} is not finite")
-    s = max(0, math.ceil(math.log2(span) + _BASE_STEP_LOG2))
-    h = math.ldexp(tau, -s)
+    eye = np.eye(len(lam))
+    s, h = _base_step(float((lam + mu).max()) * tau, tau)
     A = np.diag(-h * (lam + mu)) + np.diag(h * lam[:-1], 1) + np.diag(h * mu[1:], -1)
     P = eye
     for k in range(_TAYLOR_DEGREE, 0, -1):
         P = eye + (A @ P) / k
-    # squarings ping-pong between two buffers; diags[i] views bufs[i]'s
-    # diagonal
-    bufs = (P, np.empty_like(P))
-    diags = tuple(b.reshape(-1)[:: n + 1] for b in bufs)
-    diags[0][:] = 0.0
     np.maximum(P, 0.0, out=P)
-    off = P.sum(axis=1)
-    np.subtract(1.0, off, out=diags[0])
-    d = np.empty(n)
-    for i in range(s):
-        src, P, dP = bufs[i % 2], bufs[1 - i % 2], diags[1 - i % 2]
-        np.matmul(src, src, out=P)
-        d[:] = dP
-        dP[:] = 0.0
-        P.sum(axis=1, out=off)
-        if d.min() > 0.5:
-            np.subtract(1.0, off, out=dP)
-        else:
-            closed = d > 0.5
-            dP[:] = np.where(closed, 1.0 - off, d)
-            P /= np.where(closed, 1.0, off + d)[:, None]
+    P /= P.sum(axis=1, keepdims=True)
+    for _ in range(s):
+        P = P @ P
+        P /= P.sum(axis=1, keepdims=True)
     return P
 
 
@@ -306,11 +290,7 @@ def dyson_series(
         return [(Kernel(window=window, t0=t0, t1=t1, rows=np.eye(n)), 0.0) for _ in k_maxes]
 
     lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
-    span = lam_dom * tau
-    if not math.isfinite(span):
-        raise RateOverflow(f"dyson_series: dominating rate * span = {span:g} is not finite")
-    s = max(0, math.ceil(math.log2(span) + _BASE_STEP_LOG2))
-    h = math.ldexp(tau, -s)
+    s, h = _base_step(lam_dom * tau, tau)
     w0 = 1.0 + gen.diag / lam_dom  # diagonal of W0, in [0, 1]
     U = (gen.as_matrix() - np.diag(gen.diag)) / lam_dom
 

@@ -224,8 +224,8 @@ def run_particles(
         raise ValueError(f"need a finite dt > 0, got {dt}")
     if not 1 <= n_particles < 2**63:  # the counts are int64
         raise ValueError(f"need 1 <= n_particles < 2**63, got {n_particles}")
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
+    if n_samples < 2:
+        raise ValueError(f"need n_samples >= 2, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     ens = Ensemble.from_measure(params, p0, L0, M0, n_particles, rng)
     sample_times = np.linspace(0.0, t_final, n_samples).tolist()

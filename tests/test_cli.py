@@ -66,6 +66,14 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def strict_json(path):
+    """The JSON file at path, parsed by a reader that refuses NaN,
+    Infinity and -Infinity, as strict JSON parsers do."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestSimulate:
     def test_success(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -289,6 +297,23 @@ class TestOtherCommands:
         for d in dyson:
             assert d["distance"] < d["remainder_bound"]
 
+    def test_kernel_check_bound_past_float_range_is_null(self, tmp_path):
+        # over t1 = 1e30 the k_max = 2 remainder bound exceeds the float
+        # range: it bounds nothing and is written as null
+        text = BASE.replace("m = 12", "m = 25") + textwrap.dedent(
+            """
+            [kernel]
+            t1 = 1e30
+            k_max = 2
+            path = constant
+            """
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
+        [dyson] = strict_json(out / "kernel_check.json")["dyson"]
+        assert dyson["remainder_bound"] is None
+
     def test_sample_paths_reproducible(self, tmp_path):
         text = BASE.replace("m = 12", "m = 8") + textwrap.dedent(
             """
@@ -391,6 +416,7 @@ class TestOtherCommands:
             ("t_final", "-1.0"),
             ("t_final", "inf"),
             ("n_samples", "0"),
+            ("n_samples", "1"),
         ],
     )
     def test_particles_invalid_input(self, tmp_path, capsys, key, value):
@@ -481,7 +507,8 @@ class TestOtherCommands:
         )
         out = tmp_path / "diag"
         assert main(["diagnose", "--config", diag_cfg, "--out", str(out)]) == 0
-        payload = json.loads((out / "diagnose.json").read_text())
+        payload = strict_json(out / "diagnose.json")
+        assert payload["series"][4]["W"] is None
         assert payload["W_violations"] >= 1
         assert payload["verdict"] == "violations"
 
@@ -519,6 +546,7 @@ BAD_INPUTS = [
     ("simulate", "run", {"t_final": "-1"}),
     ("simulate", "run", {"t_final": "nan"}),
     ("simulate", "run", {"t_final": "inf"}),
+    ("simulate", "integrator", {"n_samples": "1"}),
 ]
 
 

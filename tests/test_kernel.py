@@ -32,10 +32,22 @@ from nlwalk import (
 from nlwalk.errors import NonConstantPath, RateOverflow
 from nlwalk.kernel import PATH_CHUNK, _transition_matrix, write_paths_csv
 from nlwalk.lattice import log_plus_weights
-from nlwalk.model import ConstantBeta, rate_arrays
+from nlwalk.model import ConstantBeta, LinearDriftBeta, TableBeta, rate_arrays
 
 PATH0 = FrozenPath.constant(1.3, -0.4)
 PARAMS = ModelParams()
+
+
+def mpmath_expm(off, tau, digits, diag=None):
+    """exp(tau Q) to the given digits, rounded to floats, for Q with
+    off-diagonal part off and diagonal diag, every float taken exactly.
+    With diag None, Q's diagonal is minus its off-diagonal row sums, summed
+    to those digits, so its rows sum to 0 exactly."""
+    with mpmath.workdps(digits):
+        Q = mpmath.matrix(off.tolist())
+        for i in range(len(off)):
+            Q[i, i] = -mpmath.fsum(Q[i, :]) if diag is None else mpmath.mpf(diag[i])
+        return np.array(mpmath.expm(Q * mpmath.mpf(tau)).tolist(), dtype=float)
 
 
 @pytest.fixture(scope="module")
@@ -144,25 +156,30 @@ class TestPropagate:
         B = propagate(PARAMS, PATH0, 0.3, 0.9, w, substeps=20)
         assert np.abs(A.rows @ B.rows - P.rows).max() < 1e-8
 
-    def test_substep_matches_mpmath_expm(self):
-        # exp(tau G) against a 60-digit reference, entrywise relative over
-        # the entries above 1e-200 (here all of them; the smallest is 7e-40)
-        lam, mu = rate_arrays(PARAMS, 1.3, -0.4, Window.symmetric(8))
-        tau = 0.02
+    @pytest.mark.parametrize(
+        "params, m, L, M, tau, digits, bound",
+        [
+            (PARAMS, 8, 1.3, -0.4, 0.02, 60, 1e-13),
+            (PARAMS, 8, 1.3, -0.4, 1.0, 60, 1e-13),
+            (PARAMS, 12, 1.3, -0.4, 0.1, 80, 1e-13),
+            (ModelParams(c=1.5, beta=TableBeta((2, 3, 4), n_min=-1)), 10, 1.3, -0.4, 0.1,
+             80, 1e-13),
+            # a stiff profile over 24 squarings; the relative error grows
+            # with the squaring count and reads 1.0e-13 here
+            (ModelParams(c=2.5, beta=LinearDriftBeta(1.0, 2.5)), 14, 3.0, -1.5, 0.5,
+             80, 1e-12),
+        ],
+        ids=["m8-tau0.02", "m8-tau1", "m12-tau0.1", "table-m10", "linear-drift-m14"],
+    )
+    def test_substep_matches_mpmath_expm(self, params, m, L, M, tau, digits, bound):
+        # exp(tau G) against a reference to the given digits, entrywise
+        # relative over the entries above 1e-280 (at m = 8, tau = 0.02 all
+        # of them; the smallest is 7e-40)
+        lam, mu = rate_arrays(params, L, M, Window.symmetric(m))
         P = _transition_matrix(lam, mu, tau)
-        n = len(lam)
-        with mpmath.workdps(60):
-            G = mpmath.zeros(n)
-            for i in range(n):
-                G[i, i] = -(mpmath.mpf(lam[i]) + mpmath.mpf(mu[i]))
-                if i + 1 < n:
-                    G[i, i + 1] = mpmath.mpf(lam[i])
-                if i > 0:
-                    G[i, i - 1] = mpmath.mpf(mu[i])
-            E = mpmath.expm(G * mpmath.mpf(tau))
-            ref = np.array([[float(E[i, j]) for j in range(n)] for i in range(n)])
-        big = ref > 1e-200
-        assert (np.abs(P[big] - ref[big]) / ref[big]).max() <= 1e-13
+        ref = mpmath_expm(np.diag(lam[:-1], 1) + np.diag(mu[1:], -1), tau, digits)
+        big = ref > 1e-280
+        assert (np.abs(P[big] - ref[big]) / ref[big]).max() <= bound
 
     def test_readme_window(self):
         # the README window: edge rates near 1e11, so dominating rate *
@@ -290,22 +307,9 @@ class TestDyson:
         w = Window.symmetric(6)
         gen = generator_at(PARAMS, PATH0, 0.0, w)
         n = w.size
-        D = np.diag(gen.diag)
-        V = gen.as_matrix() - D
-        with mpmath.workdps(60):
-            Q = mpmath.zeros(n * (K + 1))
-            for b in range(K + 1):
-                for i in range(n):
-                    for j in range(n):
-                        Q[b * n + i, b * n + j] = mpmath.mpf(D[i, j])
-                        if b < K:
-                            Q[b * n + i, (b + 1) * n + j] = mpmath.mpf(V[i, j])
-            E = mpmath.expm(Q * mpmath.mpf(tau))
-            ref = np.cumsum(
-                [[[float(E[i, b * n + j]) for j in range(n)] for i in range(n)]
-                 for b in range(K + 1)],
-                axis=0,
-            )
+        V = gen.as_matrix() - np.diag(gen.diag)
+        E = mpmath_expm(np.kron(np.eye(K + 1, k=1), V), tau, 60, np.tile(gen.diag, K + 1))
+        ref = np.cumsum([E[:n, b * n:(b + 1) * n] for b in range(K + 1)], axis=0)
         sums = dyson_series(PARAMS, PATH0, 0.0, tau, w, range(K + 1))
         for (approx, _), exact in zip(sums, ref):
             big = exact > 1e-280

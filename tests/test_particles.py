@@ -353,7 +353,7 @@ def particle_runs(draw):
         t_final=draw(st.floats(0.0, 0.2)),
         dt=draw(st.floats(1e-4, 0.2)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        n_samples=draw(st.integers(1, 12)),
+        n_samples=draw(st.integers(2, 12)),
     )
 
 
