@@ -310,6 +310,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "fixed_point_exists": cfg.params.mean_reverting,
             "steps": log.steps,
             "rejected_steps": log.rejected_steps,
+            "band_max": log.band_max,
+            "truncation_max": log.truncation_max,
         },
         cfg,
     )

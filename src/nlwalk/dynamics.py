@@ -16,6 +16,25 @@ they carry L - ref, M - ref and the sites minus ref, and ref is added
 back at each sample.  That table must stay within exp(EXP_LIMIT), so a
 window with c * (n_max - n_min) / 2 > EXP_LIMIT raises RateOverflow
 before the first step.
+
+Each sample interval's steps run on a band of sites, [lo, hi), chosen at
+its start; the full window is the band [0, N).  Its core drops the
+longest prefix and suffix whose mass, weighted as p_n (1 + (lambda_n +
+mu_n) dt) so that the flow's sums p.a and p.b lose no more, is within
+TRUNC_TOL / 4 each; the dropped sites are set to 0.  Past each core edge
+that is not the window edge, a margin of the fewest r sites with
+(Lambda dt)^r / r! <= TRUNC_TOL / 4 follows, Lambda being the largest
+outward rate (lambda on the right, mu on the left) over the margin sites:
+a walker leaves the band only by r outward jumps from margin sites, so
+that Poisson tail bounds the mass it loses.  The rates are bounded over
+the interval through the no-explosion bounds L <= L0 + C_lambda dt,
+M >= M0 - C_mu dt.  An interior band edge keeps its outward rate on the
+diagonal, so it is a killing edge, and the dropped mass plus the two leak
+bounds, at most TRUNC_TOL, is the interval's computed truncation error.
+Last, the band widens until its two end rates are ordered as the
+window's, so that the eigensolver sweeps it in the same direction (see
+_band).  Sites off the band hold exactly 0, so the boundary mass reads 0
+while the band stays off the window edges.
 """
 
 from __future__ import annotations
@@ -34,6 +53,8 @@ from .model import EXP_LIMIT, ModelParams, rate_arrays
 
 MASS_TOL = 1e-9
 NEG_TOL = 1e-9
+TRUNC_TOL = 1e-15  # mass an interval's band may drop or leak
+_QUARTER_TOL = 0.25 * TRUNC_TOL  # each of the two dropped runs and leaks
 BOUNDARY_WARN = 1e-8
 
 
@@ -103,6 +124,8 @@ class TrajectoryLog:
     samples: List[TrajectorySample] = field(default_factory=list)
     steps: int = 0  # accepted steps
     rejected_steps: int = 0
+    band_max: int = 0  # widest band an interval ran on (0: no interval)
+    truncation_max: float = 0.0  # largest dropped mass plus leak bound
 
     @property
     def times(self) -> np.ndarray:
@@ -253,6 +276,89 @@ def _splitting_advance(params, a_vec, b_vec, n, p, L, M, t_span, h, config):
     return p, L, M, h, accepted, rejected
 
 
+def _margin(rates, scale, edge, stop, step):
+    """(band end, leak bound): sites from the core edge outward until the
+    Poisson tail x^r / r! of r outward jumps, x = scale * the largest of
+    rates over those r sites, is within TRUNC_TOL / 4; (stop, 0.0) when the
+    window edge comes first."""
+    log_tol = math.log(_QUARTER_TOL)
+    top = log_x = log_fact = 0.0
+    r, i = 0, edge
+    while i != stop:
+        if rates[i] > top:
+            top = rates[i]
+            x = scale * top
+            log_x = math.log(x) if x > 0.0 else -math.inf
+        r += 1
+        i += step
+        log_fact += math.log(r)
+        log_bound = r * log_x - log_fact
+        if log_bound <= log_tol:
+            return i, math.exp(log_bound)
+    return stop, 0.0
+
+
+def _dropped(values, a_list, b_list, up_dt, down_dt):
+    """(sites, weighted mass) of the longest run of values, from their
+    start, whose mass weighted by 1 + (lambda + mu) dt is within
+    TRUNC_TOL / 4 (values are >= 0; an overflowed rate weighs inf)."""
+    budget = _QUARTER_TOL
+    k, total = 0, 0.0
+    for v, a, b in zip(values, a_list, b_list):
+        if v:  # off the last interval's band p is exactly 0
+            w = total + v * (1.0 + a * up_dt + b * down_dt)
+            if w > budget:
+                break
+            total = w
+        k += 1
+    return k, total
+
+
+def _band(params, a_list, b_list, p, L, M, dt):
+    """(lo, hi, truncation bound) of the band for a sample interval of
+    length dt from (p, L, M); see the module docstring."""
+    size = len(a_list)
+    c = params.c
+    # e^{cL} and e^{-cM} at the no-explosion bounds; out of range, the band
+    # is the window and the steps raise RateOverflow
+    up_exp = c * (L + params.C_lambda * dt)
+    down_exp = -c * (M - params.C_mu * dt)
+    if max(up_exp, down_exp) > EXP_LIMIT:
+        return 0, size, 0.0
+    up_dt, down_dt = math.exp(up_exp) * dt, math.exp(down_exp) * dt
+    values = p.tolist()
+    # the two runs cannot meet: p has mass 1, far above TRUNC_TOL / 2
+    lo, dropped_lo = _dropped(values, a_list, b_list, up_dt, down_dt)
+    k, dropped_hi = _dropped(
+        reversed(values), reversed(a_list), reversed(b_list), up_dt, down_dt
+    )
+    hi = size - k
+    leak_lo = leak_hi = 0.0
+    if lo > 0:
+        lo, leak_lo = _margin(b_list, down_dt, lo - 1, -1, -1)
+        lo += 1
+    if hi < size:
+        hi, leak_hi = _margin(a_list, up_dt, hi, size, 1)
+
+    # dstev's QL/QR sweeps run in the direction its two end diagonals
+    # select, and p keeps its digits only if a band is swept as its window
+    # is: on stiff starts a band swept the other way lost up to 1e-11 of
+    # mass per measure step.  So the band widens until its end rates (times
+    # dt) are ordered as the window's, whose end rates are a_0 e^{cL} and
+    # b_{N-1} e^{-cM}; a wider band only leaks less.
+    rate_lo = a_list[lo] * up_dt + b_list[lo] * down_dt
+    rate_hi = a_list[hi - 1] * up_dt + b_list[hi - 1] * down_dt
+    if b_list[-1] * down_dt >= a_list[0] * up_dt:
+        while hi < size and rate_hi < rate_lo:
+            rate_hi = a_list[hi] * up_dt + b_list[hi] * down_dt
+            hi += 1
+    else:
+        while lo > 0 and rate_lo <= rate_hi:
+            lo -= 1
+            rate_lo = a_list[lo] * up_dt + b_list[lo] * down_dt
+    return lo, hi, dropped_lo + dropped_hi + leak_lo + leak_hi
+
+
 def integrate(
     params: ModelParams, state0: SystemState, T: float, config: IntegratorConfig
 ) -> TrajectoryLog:
@@ -265,7 +371,9 @@ def integrate(
     PositivityLost / StepSizeUnderflow on tolerance violations and
     RateOverflow when (L, M) leaves the range representable on the window
     (the no-explosion bounds L <= L0 + C_lambda*t, M >= M0 - C_mu*t say
-    how far that can go).
+    how far that can go).  Each interval's steps run on its band (see the
+    module docstring); the log keeps the widest band and the largest
+    truncation bound.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -302,18 +410,26 @@ def integrate(
         )
         return measure.values.copy()
 
-    ts = np.linspace(state0.t, state0.t + T, config.n_samples)
+    # Python floats keep the per-interval scalar work (_band) fast
+    ts = np.linspace(state0.t, state0.t + T, config.n_samples).tolist()
     p = record(ts[0], state0.p.values.copy(), state0.L, state0.M)
     if T == 0:
         return log
     a_vec, b_vec = rate_arrays(params, ref, ref, window)
     if not (np.isfinite(a_vec).all() and np.isfinite(b_vec).all()):
         raise RateOverflow("jump rates overflowed on the window")
+    a_list, b_list = a_vec.tolist(), b_vec.tolist()
     L, M, h = state0.L - ref, state0.M - ref, config.dt_init
     for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-        p, L, M, h, accepted, rejected = _splitting_advance(
-            params, a_vec, b_vec, n, p, L, M, (t_lo, t_hi), h, config
+        lo, hi, bound = _band(params, a_list, b_list, p, L, M, t_hi - t_lo)
+        band, L, M, h, accepted, rejected = _splitting_advance(
+            params, a_vec[lo:hi], b_vec[lo:hi], n[lo:hi], p[lo:hi], L, M,
+            (t_lo, t_hi), h, config,
         )
+        p = np.zeros(p.size)
+        p[lo:hi] = band
+        log.band_max = max(log.band_max, hi - lo)
+        log.truncation_max = max(log.truncation_max, bound)
         log.steps += accepted
         log.rejected_steps += rejected
         p = record(t_hi, p, L + ref, M + ref)

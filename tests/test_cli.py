@@ -28,6 +28,7 @@ from nlwalk import (
     monitor,
 )
 from nlwalk.cli import main
+from nlwalk.dynamics import TRUNC_TOL
 
 BASE = """
 [model]
@@ -111,6 +112,16 @@ class TestSimulate:
         assert (summary["steps"], summary["rejected_steps"]) == (
             log.steps, log.rejected_steps
         )
+
+    def test_summary_reports_band(self, tmp_path):
+        # the widest band and the largest truncation bound of the run: on
+        # [-12, 12] every interval's band is narrower than the window
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = strict_json(out / "summary.json")
+        assert 1 <= summary["band_max"] < 25
+        assert 0.0 < summary["truncation_max"] <= TRUNC_TOL
 
     def test_invalid_config_negative_c(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("c = 1.0", "c = -1.0"))

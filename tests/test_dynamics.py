@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from nlwalk import (
     ConstantBeta,
@@ -25,7 +26,7 @@ from nlwalk import (
     solve_s_from_K,
     total_variation,
 )
-from nlwalk.dynamics import MASS_TOL, NEG_TOL, _splitting_advance
+from nlwalk.dynamics import MASS_TOL, NEG_TOL, TRUNC_TOL, _band, _splitting_advance
 from nlwalk.errors import NlwalkError, RateOverflow, StepSizeUnderflow
 from nlwalk.lyapunov import Q_value
 from nlwalk.model import eval_beta, rate_arrays
@@ -271,7 +272,156 @@ class TestGoldenSamples:
             bench_params, bench_state0, 1.0,
             IntegratorConfig(dt_init=1e-3, n_samples=21),
         )
-        assert _log_digest(log) == "0cfc86f9e512234520e8788748ad8094f70315f38eec68b2447a2529a2126fac"
+        assert _log_digest(log) == "6f1bf6b5d54466ecebd327f2d94049c5e668a73919831c335fb5bda889ca018b"
+
+
+def _full_window_samples(params, state0, T, config):
+    """(p, L, M, K) at every sample of integrate's grid, with each
+    interval's steps on the whole window and each sample clipped and
+    renormalized as integrate records it."""
+    w = state0.window
+    ref = 0.5 * (w.n_min + w.n_max)
+    n = w.sites() - ref
+    a_vec, b_vec = rate_arrays(params, ref, ref, w)
+    p, L, M, h = state0.p.values, state0.L - ref, state0.M - ref, config.dt_init
+    out = [(p, state0.L, state0.M, conserved_K(state0))]
+    ts = np.linspace(state0.t, state0.t + T, config.n_samples)
+    for span in zip(ts[:-1], ts[1:]):
+        p, L, M, h, _, _ = _splitting_advance(
+            params, a_vec, b_vec, n, p, L, M, span, h, config
+        )
+        K = L + M + 3.0 * ref + float(np.dot(n, p))
+        p = LatticeMeasure.normalized(w, p).values
+        out.append((p, L + ref, M + ref, K))
+    return out
+
+
+def _generator(lam, mu):
+    return np.diag(-(lam + mu)) + np.diag(lam[:-1], 1) + np.diag(mu[1:], -1)
+
+
+class TestBand:
+    """Each sample interval's steps run on a band of sites with killing
+    edges; the band's truncation bound is computed, not guessed."""
+
+    @pytest.mark.parametrize(
+        "m, T, n_samples", [(25, 1.0, 21), (25, 20.0, 201), (8, 1.0, 201)],
+        ids=["readme-T1", "readme-T20", "m8-T1"],
+    )
+    def test_matches_full_window(self, bench_params, m, T, n_samples):
+        # bounds stated before the change: per sample 1e-12 in L1 and in
+        # L, M and K
+        w = Window.symmetric(m)
+        state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)
+        config = IntegratorConfig(dt_init=1e-3, n_samples=n_samples)
+        log = integrate(bench_params, state0, T, config)
+        ref = _full_window_samples(bench_params, state0, T, config)
+        for smp, (p, L, M, K) in zip(log.samples, ref, strict=True):
+            assert np.abs(smp.state.p.values - p).sum() <= 1e-12
+            assert abs(smp.state.L - L) <= 1e-12
+            assert abs(smp.state.M - M) <= 1e-12
+            assert abs(smp.K - K) <= 1e-12
+        assert 0 < log.band_max <= w.size
+        assert log.truncation_max <= TRUNC_TOL
+        if m == 25:
+            # the band stays off the window edges
+            assert log.band_max < w.size
+            assert all(s.boundary_mass == 0.0 for s in log.samples[1:])
+
+    @pytest.mark.parametrize(
+        "beta, c, window, centre, core, L, M, dt, reaches_edge",
+        [
+            # README: a Gaussian cut to a core well inside the window, and
+            # uncut (its tails are dropped)
+            (ConstantBeta(), 1.0, Window.symmetric(25), 0, 3, 1.3, -0.4, 0.1, False),
+            (ConstantBeta(), 1.0, Window.symmetric(25), 0, 3, 1.3, -0.4, 1.0, False),
+            (ConstantBeta(), 1.0, Window.symmetric(25), 0, None, 1.3, -0.4, 0.1, False),
+            # large outward rates near the right edge: the margin reaches it
+            (TableBeta((2.0, 3.0, 4.0), n_min=-1), 1.5, Window(-8, 17), 6, 1,
+             6.5, 5.0, 0.1, True),
+            (LinearDriftBeta(2.0, 0.7), 0.7, Window(-8, 17), 5, 1, 9.0, 6.0, 0.5, True),
+        ],
+        ids=["readme-core", "readme-core-dt1", "readme-uncut", "table-edge",
+             "linear-drift-edge"],
+    )
+    def test_leak_bound(self, beta, c, window, centre, core, L, M, dt, reaches_edge):
+        # the mass exp(dt G) moves outside the band, from the interval's
+        # start rates and from its largest rates, against the bound
+        params = ModelParams(c=c, beta=beta)
+        n = window.sites()
+        p = np.exp(-c * (n - centre) ** 2.0)
+        if core is not None:
+            p[np.abs(n - centre) > core] = 0.0
+        p /= p.sum()
+        ref = 0.5 * (window.n_min + window.n_max)
+        a_vec, b_vec = rate_arrays(params, ref, ref, window)
+        lo, hi, bound = _band(
+            params, a_vec.tolist(), b_vec.tolist(), p, L - ref, M - ref, dt
+        )
+        assert 0.0 < bound <= TRUNC_TOL
+        assert lo > 0
+        assert (hi == window.size) == reaches_edge
+        for L_t, M_t in ((L, M), (L + params.C_lambda * dt, M - params.C_mu * dt)):
+            q = p @ expm(dt * _generator(*rate_arrays(params, L_t, M_t, window)))
+            assert q[:lo].sum() + q[hi:].sum() <= bound
+
+    def test_rate_weight_keeps_a_fast_site(self, bench_params):
+        # 1e-16 of mass at n = -25, where lambda * dt is about 1e10, carries
+        # 1e-6 of the flow's sum p.a: the band keeps it although its mass
+        # is below TRUNC_TOL / 4
+        w = Window.symmetric(25)
+        n = w.sites()
+        p = np.exp(-((n - 0.45) ** 2.0))
+        p[np.abs(n) > 5] = 0.0
+        p[0] = 1e-16
+        p /= p.sum()
+        a_vec, b_vec = rate_arrays(bench_params, 0.0, 0.0, w)
+        lo, hi, bound = _band(
+            bench_params, a_vec.tolist(), b_vec.tolist(), p, 1.3, -0.4, 0.1
+        )
+        assert lo == 0 and hi < w.size and bound <= TRUNC_TOL
+
+    @pytest.mark.parametrize(
+        "C, window, site, L, M, T, n_samples",
+        [(1.4, Window(-8, 34), -8, 7.5, 9.0, 0.95, 34),
+         (1.0, Window(0, 41), 0, 20.0, 20.0, 0.5, 11)],
+        ids=["left-edge", "far-left"],
+    )
+    @pytest.mark.filterwarnings("ignore:boundary mass:RuntimeWarning")
+    def test_stiff_start_keeps_its_mass(self, C, window, site, L, M, T, n_samples):
+        # a start far left of (L + M) / 2, whose band is cut on the far
+        # side: swept by the eigensolver in the other direction than the
+        # window, the band drifted 2.2e-9 to 3.4e-9 in mass and the run
+        # stopped; the full window holds the mass to 1e-12
+        params = ModelParams(c=0.5, C_lambda=C, C_mu=C)
+        state0 = SystemState(p=LatticeMeasure.delta(site, window), L=L, M=M)
+        log = integrate(
+            params, state0, T, IntegratorConfig(dt_init=0.01, n_samples=n_samples)
+        )
+        assert max(abs(s.mass - 1.0) for s in log.samples) <= 1e-11
+
+    def test_leak_bound_is_nearly_attained_on_a_birth_chain(self):
+        # beta(n) = e^n past the start site makes lambda = 1 on the right
+        # margin, and M = 100 makes mu negligible: the walker at site 2
+        # (rate 1e6) leaves the band with r unit-rate jumps, so at the
+        # interval's largest rates the Poisson tail is nearly the leak
+        w = Window(0, 30)
+        beta = TableBeta(
+            (1.0, 1.0, 1e6 * math.e**2) + tuple(math.e**k for k in range(3, 30))
+        )
+        params = ModelParams(beta=beta)
+        L, M, dt = 0.0, 100.0, 0.5
+        p = np.zeros(w.size)
+        p[2] = 1.0
+        ref = 0.5 * (w.n_min + w.n_max)
+        a_vec, b_vec = rate_arrays(params, ref, ref, w)
+        lo, hi, bound = _band(
+            params, a_vec.tolist(), b_vec.tolist(), p, L - ref, M - ref, dt
+        )
+        assert hi == 20 and bound <= TRUNC_TOL
+        lam, mu = rate_arrays(params, L + dt, M - dt, w)
+        q = p @ expm(dt * _generator(lam, mu))
+        assert 0.3 * bound <= q[hi:].sum() <= bound
 
 
 class TestSplittingWindowLimit:
