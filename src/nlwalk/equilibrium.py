@@ -9,7 +9,12 @@ centered at s and
 
 The level value F(s) = 2s + mean(pi_s) satisfies the exact shift identity
 F(s+1) = F(s) + 3, so every level K contains exactly one fixed point and
-the bracket [K/3 - 1, K/3 + 1] always contains it.
+the bracket [K/3 - 1, K/3 + 1] always contains it.  solve_s_from_K
+bisects that bracket to float width: on the README config it returns the
+s* whose K_of_s is within 1e-16 of K0 = 0.9.  What is left of the
+distance between a simulated measure and pi_s* is then the integrator's:
+the `tv_final` of README `simulate`, about 8.3e-11, is almost all
+integration error and scales with `rel_tol`.
 """
 
 from __future__ import annotations
@@ -21,13 +26,7 @@ import numpy as np
 
 from .errors import NoFixedPoint, NumericalError, WindowTooNarrow
 from .lattice import LatticeMeasure, Window
-from .model import ModelParams, eval_beta, rate_arrays
-
-# gaussian_sum stops once both outward terms fall below this fraction of
-# the accumulated absolute scale
-SUM_EPS = 1e-16
-# solve_s_from_K accepts s once |K_of_s(s) - K| is below this
-K_TOL = 1e-11
+from .model import ModelParams, beta_array, rate_arrays
 
 
 @dataclass(frozen=True)
@@ -40,45 +39,47 @@ class FixedPoint:
     Xi: float
 
 
-def gaussian_sum(c: float, s: float, weight=None) -> float:
-    """sum_n w(n) exp(-c(n-s)^2), summed outward from round(s) with
-    compensated accumulation, stopping when both directions fall below
-    SUM_EPS times the accumulated absolute scale (the signed sum can be
-    near zero, e.g. for the first-moment weight).  w defaults to 1.
+def _gaussian(c: float, s: float):
+    """(n, g, Xi): the sites n within R of floor(s + 1/2), R the least
+    integer with c(R^2 - 1/4) >= 40, their terms g = exp(-c(n-s)^2) and
+    Xi = fsum(g).  Every site left out has a term below e^-40 of the
+    largest, even under a weight that moves the peak by up to half a site,
+    as beta does in the fixed-point denominator.
 
     Raises NumericalError when |s| >= 2^52, where float spacing is at
-    least 1 and the sites near s are no longer distinct, or when the sum
-    does not converge."""
+    least 1 and the sites near s are no longer distinct; when c < 1e-9,
+    whose Gaussian spans more than 4e5 sites; and when every term
+    underflows (c(n - s)^2 > 745 on all sites), as a huge c does for s
+    off the lattice."""
     if not abs(s) < 2.0**52:
         raise NumericalError(f"s = {s} is beyond the lattice resolution of a float")
-    center = int(round(s))
-
-    def term(n):
-        t = math.exp(-c * (n - s) ** 2)
-        return t * weight(n) if weight is not None else t
-
-    terms = [term(center)]
-    scale = abs(terms[0]) + 1e-300
-    for k in range(1, 100000):
-        up = term(center + k)
-        down = term(center - k)
-        terms.append(up)
-        terms.append(down)
-        scale += abs(up) + abs(down)
-        if abs(up) < SUM_EPS * scale and abs(down) < SUM_EPS * scale:
-            return math.fsum(terms)
-    raise NumericalError(f"gaussian sum failed to converge (c={c}, s={s})")
+    if not c >= 1e-9:
+        raise NumericalError(f"c = {c} is below 1e-9: the Gaussian spans too many sites")
+    reach = math.ceil(math.sqrt(40.0 / c + 0.25))
+    # half up, not half to even: at an integer s the array at s - 1/2 is
+    # then centred on s and reads beta no further below s than it must
+    m = math.floor(s + 0.5)
+    n = np.arange(m - reach, m + reach + 1)
+    g = np.exp(-c * (n - s) ** 2)
+    xi = math.fsum(g)
+    if not xi > 0:
+        raise NumericalError(f"discrete Gaussian underflowed on every site (c={c}, s={s})")
+    return n, g, xi
 
 
 def partition_Xi(c: float, s: float) -> float:
     """Normalization of the discrete Gaussian: sum_n exp(-c(n-s)^2) by
     direct truncated summation (no theta-function identities).  Raises
-    NumericalError when every term underflows (c(n - s)^2 > 745 on all
-    sites), as a huge c does for s off the lattice."""
-    xi = gaussian_sum(c, s)
-    if not xi > 0:
-        raise NumericalError(f"discrete Gaussian underflowed on every site (c={c}, s={s})")
-    return xi
+    NumericalError for c < 1e-9 and when every term underflows."""
+    return _gaussian(c, s)[2]
+
+
+def _on_window(c: float, s: float, window: Window, n, g, xi: float) -> LatticeMeasure:
+    off = math.fsum(g[(n < window.n_min) | (n > window.n_max)])
+    if off > 1e-12 * xi:
+        raise WindowTooNarrow(f"off-window mass {off / xi:g} above 1e-12 for s={s}, c={c}")
+    vals = np.exp(-c * (window.sites().astype(float) - s) ** 2)
+    return LatticeMeasure(window, vals / float(vals.sum()))
 
 
 def discrete_gaussian(c: float, s: float, window: Window) -> LatticeMeasure:
@@ -87,70 +88,61 @@ def discrete_gaussian(c: float, s: float, window: Window) -> LatticeMeasure:
     Raises WindowTooNarrow when more than 1e-12 of the full-lattice mass
     falls off-window.
     """
-    xi = partition_Xi(c, s)
-    n = window.sites().astype(float)
-    vals = np.exp(-c * (n - s) ** 2)
-    inside = float(vals.sum())
-    if xi - inside > 1e-12 * xi:
-        raise WindowTooNarrow(
-            f"off-window mass {(xi - inside) / xi:g} above 1e-12 for s={s}, c={c}"
-        )
-    return LatticeMeasure(window, vals / inside)
+    return _on_window(c, s, window, *_gaussian(c, s))
 
 
-def _require_mean_reverting(params: ModelParams) -> None:
+def fixed_point(params: ModelParams, s: float, window: Window) -> FixedPoint:
+    """Member of the fixed-point family at parameter s.
+
+    The denominator's exponent is -c(k-s)^2 - c(k-s) = c/4 - c(k-s+1/2)^2,
+    so it is summed as the Gaussian at s - 1/2, which cannot overflow."""
     if not params.mean_reverting:
         raise NoFixedPoint(
             f"C_lambda={params.C_lambda} != C_mu={params.C_mu}: there are no fixed points"
         )
-
-
-def fixed_point(params: ModelParams, s: float, window: Window) -> FixedPoint:
-    """Member of the fixed-point family at parameter s."""
-    _require_mean_reverting(params)
     c = params.c
-    xi = partition_Xi(c, s)
-    denom = gaussian_sum(c, s, weight=lambda k: eval_beta(params.beta, k) * math.exp(-c * (k - s)))
-    d = math.log(params.C_lambda * xi / denom) / c
-    pi = discrete_gaussian(c, s, window)
+    n, g, xi = _gaussian(c, s)
+    k, h, _ = _gaussian(c, s - 0.5)
+    denom = math.fsum(beta_array(params.beta, int(k[0]), int(k[-1])) * h)
+    d = (math.log(params.C_lambda) + math.log(xi) - math.log(denom)) / c - 0.25
+    pi = _on_window(c, s, window, n, g, xi)
     return FixedPoint(s=s, d=d, L_s=s + d, M_s=s - d, pi=pi, Xi=xi)
 
 
 def K_of_s(params: ModelParams, s: float) -> float:
     """Level value of the fixed point at s: F(s) = 2s + mean(pi_s)."""
-    c = params.c
-    xi = partition_Xi(c, s)
-    first = gaussian_sum(c, s, weight=lambda n: float(n))
-    return 2.0 * s + first / xi
+    n, g, xi = _gaussian(params.c, s)
+    return 2.0 * s + math.fsum(n * g) / xi
 
 
 def solve_s_from_K(params: ModelParams, K: float) -> float:
-    """The unique s* with K_of_s(s*) = K.
+    """The unique s* with K_of_s(s*) = K, to float width.
 
-    Bisection on [K/3 - 1, K/3 + 1]; the bracket is always valid because
-    F(s) - 3s is 1-periodic (shift identity) with |F(s) - 3s| < 1.
+    Bisection on [K/3 - 1, K/3 + 1], valid because F(s) - 3s is 1-periodic
+    (shift identity) with |F(s) - 3s| < 1.  It halves the bracket until the
+    midpoint hits K exactly or equals an end, then returns the end with the
+    smaller residual.  Raises NumericalError if the ends do not straddle K.
     """
     lo, hi = K / 3.0 - 1.0, K / 3.0 + 1.0
-    flo, fhi = K_of_s(params, lo) - K, K_of_s(params, hi) - K
-    if flo > 0 or fhi < 0:  # pragma: no cover - bracket is provably valid
-        raise RuntimeError("bisection bracket invalid")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = K_of_s(params, mid) - K
-        if abs(fmid) < K_TOL:
+    f_lo, f_hi = K_of_s(params, lo) - K, K_of_s(params, hi) - K
+    if not f_lo <= 0.0 <= f_hi:
+        raise NumericalError(f"K = {K}: K_of_s does not straddle it on [{lo}, {hi}]")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        f = K_of_s(params, mid) - K
+        if f == 0.0:
             return mid
-        if fmid < 0:
-            lo = mid
+        if f < 0.0:
+            lo, f_lo = mid, f
         else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+            hi, f_hi = mid, f
+        mid = 0.5 * (lo + hi)
+    return lo if -f_lo <= f_hi else hi
 
 
 def detailed_balance_residual(params: ModelParams, fp: FixedPoint) -> float:
     """max_n |pi(n) lambda_n - pi(n+1) mu_{n+1}| / (pi(n) lambda_n)."""
-    lam, mu = rate_arrays(params, fp.L_s, fp.M_s, fp.pi.window, truncated=False)
+    lam, mu = rate_arrays(params, fp.L_s, fp.M_s, fp.pi.window)
     pi = fp.pi.values
     forward = pi[:-1] * lam[:-1]
     backward = pi[1:] * mu[1:]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -107,12 +107,7 @@ def total_variation(a: LatticeMeasure, b: LatticeMeasure) -> float:
     return 0.5 * float(np.abs(av - bv).sum())
 
 
-def measure_to_csv_rows(m: LatticeMeasure) -> Iterable[tuple]:
-    for n, v in zip(m.window.sites(), m.values):
-        yield (int(n), repr(float(v)))
-
-
 def write_measure_csv(m: LatticeMeasure, fh: IO[str]) -> None:
     w = csv.writer(fh)
     w.writerow(["n", "value"])
-    w.writerows(measure_to_csv_rows(m))
+    w.writerows((int(n), repr(float(v))) for n, v in zip(m.window.sites(), m.values))

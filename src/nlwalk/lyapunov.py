@@ -58,10 +58,10 @@ def entropy_H(p: LatticeMeasure, s: float, c: float) -> float:
     Satisfies the Gibbs bound H >= -ln Xi(c, s), equality iff p is the
     normalized Gaussian.
     """
-    v = np.where(p.values > P_FLOOR, p.values, 0.0)
-    n = p.window.sites().astype(float)
-    nz = v > 0.0
-    return float(np.sum(v[nz] * (np.log(v[nz]) + c * (s - n[nz]) ** 2)))
+    nz = p.values > P_FLOOR
+    v = p.values[nz]
+    n = p.window.sites()[nz].astype(float)
+    return float(np.sum(v * (np.log(v) + c * (s - n) ** 2)))
 
 
 def W_value(state: SystemState, K: float, c: float = 1.0) -> float:

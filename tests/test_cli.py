@@ -606,7 +606,10 @@ def test_every_command_runs_on_the_readme_config(tmp_path):
     K0 = 1.3 - 0.4
     assert json.loads((out / "solve_s.json").read_text())["K"] == K0
     s_star = json.loads((out / "summary.json").read_text())["s_star"]
-    assert json.loads((out / "fixed_point.json").read_text())["s"] == s_star
+    fixed = json.loads((out / "fixed_point.json").read_text())
+    assert fixed["s"] == s_star
+    # s* is bisected to float width, so its level is K0 to roundoff
+    assert abs(fixed["K"] - K0) <= 1e-15
     assert json.loads((out / "diagnose.json").read_text())["W_violations"] == 0
 
 

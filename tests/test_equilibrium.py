@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwalk import (
     ConstantBeta,
@@ -16,13 +18,14 @@ from nlwalk import (
     solve_s_from_K,
 )
 from nlwalk.equilibrium import FixedPoint
-from nlwalk.errors import NoFixedPoint, WindowTooNarrow
+from nlwalk.errors import NoFixedPoint, NumericalError, WindowTooNarrow
 from nlwalk.lattice import mean_position
 
-# Frozen oracles: plain fsum over |n| <= 100 (independent of the outward
-# summation used by the implementation).
+# Frozen oracles: plain fsum over |n| <= 100 (independent of the sites the
+# implementation sums over).
 XI_ORACLE = 1.772637204826652          # sum e^{-n^2}
 D_ORACLE = -0.24979310725444673        # ln(Xi / sum_k e^{-k^2-k})
+C_GRID = (0.05, 0.3, 1.0, 2.5, 5.0)
 
 
 class TestPartitionXi:
@@ -37,6 +40,12 @@ class TestPartitionXi:
             assert partition_Xi(1.0, s + 1.0) == pytest.approx(
                 partition_Xi(1.0, s), rel=1e-14
             )
+
+    def test_tiny_c(self):
+        # the widest Gaussian summed spans about 4e5 sites
+        assert partition_Xi(3e-9, 0.0) == pytest.approx(math.sqrt(math.pi / 3e-9), rel=1e-14)
+        with pytest.raises(NumericalError):
+            partition_Xi(0.99e-9, 0.0)
 
 
 class TestDiscreteGaussian:
@@ -79,11 +88,12 @@ class TestKofS:
         assert K_of_s(ModelParams(), 0.5) == pytest.approx(1.5, abs=1e-13)
 
     def test_shift_by_three(self):
-        params = ModelParams()
-        for s in np.linspace(-2.0, 2.0, 17):
-            assert K_of_s(params, s + 1.0) - K_of_s(params, s) == pytest.approx(
-                3.0, abs=1e-12
-            )
+        for c in C_GRID:
+            params = ModelParams(c=c)
+            for s in np.linspace(-2.0, 2.0, 17):
+                assert K_of_s(params, s + 1.0) - K_of_s(params, s) == pytest.approx(
+                    3.0, abs=1e-12
+                )
 
     def test_strictly_increasing(self):
         params = ModelParams()
@@ -106,6 +116,17 @@ class TestSolveS:
         for s0 in (-3.0, -0.4, 0.0, 1.7, 3.0):
             back = solve_s_from_K(params, K_of_s(params, s0))
             assert back == pytest.approx(s0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(0.05, 5.0), K=st.floats(-1e3, 1e3))
+    def test_residual_at_float_width(self, c, K):
+        params = ModelParams(c=c)
+        assert abs(K_of_s(params, solve_s_from_K(params, K)) - K) <= 1e-14 * max(1.0, abs(K))
+
+    def test_bracket_failure_is_numerical(self, monkeypatch):
+        monkeypatch.setattr("nlwalk.equilibrium.K_of_s", lambda params, s: 0.0)
+        with pytest.raises(NumericalError):
+            solve_s_from_K(ModelParams(), 1.0)
 
 
 class TestDetailedBalance:
