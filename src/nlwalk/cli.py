@@ -292,7 +292,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     if cfg.params.mean_reverting:
         s_star = solve_s_from_K(cfg.params, K0)
         try:
-            pi_star = fixed_point(cfg.params, s_star, log.window).pi
+            pi_star = discrete_gaussian(cfg.params.c, s_star, log.window)
         except NlwalkError:
             pass
     tv_final = _write_trajectory_csv(out / "trajectory.csv", log, pi_star)

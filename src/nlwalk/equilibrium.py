@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoFixedPoint, NumericalError, WindowTooNarrow
 from .lattice import LatticeMeasure, Window
-from .model import ModelParams, beta_array, rate_arrays
+from .model import ModelParams, rate_arrays
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def _gaussian(c: float, s: float):
     """(n, g, Xi): the sites n within R of floor(s + 1/2), R the least
     integer with c(R^2 - 1/4) >= 40, their terms g = exp(-c(n-s)^2) and
     Xi = fsum(g).  Every site left out has a term below e^-40 of the
-    largest, even under a weight that moves the peak by up to half a site,
-    as beta does in the fixed-point denominator.
+    largest, even under a weight that moves the peak by up to half a site.
 
     Raises NumericalError when |s| >= 2^52, where float spacing is at
     least 1 and the sites near s are no longer distinct; when c < 1e-9,
@@ -56,8 +55,6 @@ def _gaussian(c: float, s: float):
     if not c >= 1e-9:
         raise NumericalError(f"c = {c} is below 1e-9: the Gaussian spans too many sites")
     reach = math.ceil(math.sqrt(40.0 / c + 0.25))
-    # half up, not half to even: at an integer s the array at s - 1/2 is
-    # then centred on s and reads beta no further below s than it must
     m = math.floor(s + 0.5)
     n = np.arange(m - reach, m + reach + 1)
     g = np.exp(-c * (n - s) ** 2)
@@ -94,17 +91,27 @@ def discrete_gaussian(c: float, s: float, window: Window) -> LatticeMeasure:
 def fixed_point(params: ModelParams, s: float, window: Window) -> FixedPoint:
     """Member of the fixed-point family at parameter s.
 
-    The denominator's exponent is -c(k-s)^2 - c(k-s) = c/4 - c(k-s+1/2)^2,
-    so it is summed as the Gaussian at s - 1/2, which cannot overflow."""
+    The denominator's exponents e = -c(k-s)(k-s+1) peak at s - 1/2, and
+    beta moves the peak of its terms by up to half a site more, so they
+    are summed over the sites of s - 1/2, shifted by their maximum before
+    exp: no factor over- or underflows for any c.  A beta that underflows
+    to 0 (LinearDriftBeta far from 0) weighs 0 where exp(e) is below e^-40
+    of its peak and raises NumericalError nearer."""
     if not params.mean_reverting:
         raise NoFixedPoint(
             f"C_lambda={params.C_lambda} != C_mu={params.C_mu}: there are no fixed points"
         )
     c = params.c
     n, g, xi = _gaussian(c, s)
-    k, h, _ = _gaussian(c, s - 0.5)
-    denom = math.fsum(beta_array(params.beta, int(k[0]), int(k[-1])) * h)
-    d = (math.log(params.C_lambda) + math.log(xi) - math.log(denom)) / c - 0.25
+    k = n - (math.floor(s + 0.5) - math.floor(s))  # the same reach around floor(s)
+    e = -c * (k - s) * (k - s + 1.0)
+    e_max = float(e.max())
+    w = np.exp(e - e_max)
+    beta = np.array([params.beta.value(j) for j in k.tolist()], dtype=float)
+    if not (beta[w >= math.exp(-40.0)] > 0.0).all():
+        raise NumericalError(f"beta underflows within e^-40 of the peak (c={c}, s={s})")
+    denom = math.fsum(beta * w)
+    d = (math.log(params.C_lambda) + math.log(xi) - e_max - math.log(denom)) / c
     pi = _on_window(c, s, window, n, g, xi)
     return FixedPoint(s=s, d=d, L_s=s + d, M_s=s - d, pi=pi, Xi=xi)
 

@@ -14,6 +14,7 @@ from nlwalk import (
     discrete_gaussian,
     fixed_point,
     K_of_s,
+    LinearDriftBeta,
     partition_Xi,
     solve_s_from_K,
 )
@@ -25,6 +26,8 @@ from nlwalk.lattice import mean_position
 # implementation sums over).
 XI_ORACLE = 1.772637204826652          # sum e^{-n^2}
 D_ORACLE = -0.24979310725444673        # ln(Xi / sum_k e^{-k^2-k})
+# d for LinearDriftBeta at c = 43.67, s = -16: 50-digit mpmath over |n + 16| <= 44
+D_LINEAR_ORACLE = 15.93651044831143
 C_GRID = (0.05, 0.3, 1.0, 2.5, 5.0)
 
 
@@ -78,6 +81,23 @@ class TestFixedPoint:
     def test_no_fixed_point(self):
         with pytest.raises(NoFixedPoint):
             fixed_point(ModelParams(C_mu=2.0), 0.0, Window.symmetric(10))
+
+    def test_sharp_gaussian(self):
+        # at s = 0 the denominator's terms at k = 0 and k = -1 are 1 and
+        # Xi is 1 to the last bit, so d = -ln 2 / c; exp(-c/4) is 0 at 5000
+        for c in (300.0, 5000.0):
+            fp = fixed_point(ModelParams(c=c), 0.0, Window.symmetric(3))
+            assert fp.d == pytest.approx(-math.log(2.0) / c, rel=1e-15)
+
+    def test_beta_underflow(self):
+        # beta(-18) = 18 e^-786 reads 0, at a weight e^-87 below the peak
+        c = 43.67
+        fp = fixed_point(ModelParams(c=c, beta=LinearDriftBeta(c=c)), -16.0, Window(-26, 21))
+        assert fp.d == pytest.approx(D_LINEAR_ORACLE, rel=1e-14)
+        # beta(-4) = 4 e^-1200 reads 0 at the peak
+        with pytest.raises(NumericalError):
+            fixed_point(ModelParams(c=300.0, beta=LinearDriftBeta(c=300.0)), -4.0,
+                        Window.symmetric(10))
 
 
 class TestKofS:
