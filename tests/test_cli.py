@@ -228,6 +228,17 @@ class TestSimulate:
         assert ("out of range" in capsys.readouterr().err) == (code == 4)
 
 
+    def test_rate_table_overflow(self, tmp_path, capsys):
+        # beta = 1e300 times e^25 at the edge of [-25, 25] is past the float
+        # range: the rate table at the window centre is refused
+        text = BASE.replace("m = 12", "m = 25").replace(
+            "beta_value = 1.0", "beta_value = 1e300"
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "jump rates overflowed" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_solve_s_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE + "\n[solve]\nk = 0.0\n")
@@ -611,6 +622,27 @@ def test_every_command_runs_on_the_readme_config(tmp_path):
     # s* is bisected to float width, so its level is K0 to roundoff
     assert abs(fixed["K"] - K0) <= 1e-15
     assert json.loads((out / "diagnose.json").read_text())["W_violations"] == 0
+
+
+# the beta profiles and initial measures besides the README's constant and
+# delta, each as its config spells it
+SPECS = {
+    "beta-table": ("beta = constant",
+                   "beta = table\nbeta_table = 0.5, 2.0, 1.5\nbeta_table_start = -1"),
+    "beta-lineardrift": ("beta = constant", "beta = lineardrift\nbeta_slope = 0.5"),
+    "p-gaussian": ("p = delta:0", "p = gaussian:0.3"),
+    "p-table": ("p = delta:0", "p = table\np_table = 0.2, 0.5, 0.3\np_table_start = -1"),
+}
+
+
+@pytest.mark.parametrize("old, new", SPECS.values(), ids=list(SPECS))
+def test_every_command_runs_on_each_spec(tmp_path, old, new):
+    text = SECTIONS.replace(old, new).replace("substeps = 10", "substeps = 10\nk_max = 2")
+    text += "\n[particles]\nn = 200\ndt = 0.001\nt_final = 0.2\nn_samples = 3\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    for command in COMMANDS:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
 
 
 # The README config at tiny sizes, for the fuzz below.

@@ -185,6 +185,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="positive and finite"):
             IntegratorConfig(**{key: value})
 
+    def test_rate_table_overflow(self):
+        # beta = 1e300 times e^25 at the window edge is past the float range
+        w = Window.symmetric(25)
+        state0 = SystemState(p=LatticeMeasure.delta(0, w), L=0.0, M=0.0)
+        with pytest.raises(RateOverflow, match="jump rates overflowed"):
+            integrate(
+                ModelParams(beta=ConstantBeta(1e300)), state0, 1.0,
+                IntegratorConfig(n_samples=2),
+            )
+
     def test_mass_and_monitors(self, bench_params, bench_state0):
         log = integrate(
             bench_params,

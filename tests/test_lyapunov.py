@@ -165,6 +165,16 @@ class TestMonitor:
         ws = [s.W for s in log.samples]
         assert max(ws) - min(ws) < 1e-9
 
+    def test_no_q_bound_without_contraction(self):
+        # the linear-drift beta at c = 2 has beta(n) < beta(n +- 1) / e near
+        # 0: no contraction constant, so Q is only checked to stay finite
+        params = ModelParams(c=2.0, beta=LinearDriftBeta(1.0, 2.0))
+        state0 = SystemState(p=LatticeMeasure.delta(0, Window.symmetric(8)), L=1.3, M=-0.4)
+        report = monitor(integrate(params, state0, 1.0, IntegratorConfig(n_samples=11)))
+        assert report.q_bound is None
+        assert report.q_bounded
+        assert report.violations == 0
+
     def test_corrupted_log_detected(self, short_log):
         # test of the test: shuffling W values must trigger violations
         bad = copy.deepcopy(short_log)
