@@ -44,21 +44,31 @@ from .particles import run_particles
 
 SCHEMA_VERSION = "nlwalk-1"
 
-_KNOWN_KEYS = {
+# every config key and the kind of its value: str, int, float (finite),
+# or [float] / [int] for a comma-separated list (a blank value is empty)
+_KEYS = {
     "model": {
-        "c", "c_lambda", "c_mu", "alpha", "beta", "beta_value", "beta_table",
-        "beta_table_start", "beta_left", "beta_right", "beta_slope",
+        "c": float, "c_lambda": float, "c_mu": float, "alpha": float, "beta": str,
+        "beta_value": float, "beta_table": [float], "beta_table_start": int,
+        "beta_left": float, "beta_right": float, "beta_slope": float,
     },
-    "window": {"m", "n_min", "size"},
-    "initial": {"p", "p_table", "p_table_start", "l0", "m0"},
-    "integrator": {"method", "dt_init", "rel_tol", "abs_tol", "n_samples"},
-    "run": {"t_final", "seed", "out", "verdict"},
-    "kernel": {"t0", "t1", "k_max", "substeps", "splits", "path"},
-    "paths": {"n_paths", "sample_times", "path"},
-    "particles": {"n", "dt", "t_final", "n_samples"},
-    "solve": {"k", "s"},
-    "diagnose": {"input"},
+    "window": {"m": int, "n_min": int, "size": int},
+    "initial": {"p": str, "p_table": [float], "p_table_start": int, "l0": float, "m0": float},
+    "integrator": {
+        "method": str, "dt_init": float, "rel_tol": float, "abs_tol": float,
+        "n_samples": int,
+    },
+    "run": {"t_final": float, "seed": int, "out": str, "verdict": str},
+    "kernel": {
+        "t0": float, "t1": float, "k_max": [int], "substeps": int,
+        "splits": [float], "path": str,
+    },
+    "paths": {"n_paths": int, "sample_times": [float], "path": str},
+    "particles": {"n": int, "dt": float, "t_final": float, "n_samples": int},
+    "solve": {"k": float, "s": float},
+    "diagnose": {"input": str},
 }
+_REQUIRED = object()  # the default of a key that must be set
 
 
 class RunConfig:
@@ -66,105 +76,83 @@ class RunConfig:
 
     def __init__(self, parser: configparser.ConfigParser):
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
+                if key not in _KEYS[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
         self._p = parser
         self.params = self._build_params()
         self.window = self._build_window()
 
-    # -- raw access with sane errors -------------------------------------
-    def get(self, section: str, key: str, default=None) -> Optional[str]:
-        return self._p.get(section, key, fallback=default)
-
-    def getfloat(self, section, key, default=None):
+    def get(self, section: str, key: str, default=None):
+        """[section] key parsed by its kind in _KEYS.  A missing key gives
+        default, or is an error when default is _REQUIRED."""
+        if not self._p.has_option(section, key):
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            return default
+        raw = self._p.get(section, key)
+        kind = _KEYS[section][key]
+        if kind is str:
+            return raw
+        many = isinstance(kind, list)
+        if many:
+            kind = kind[0]
+        tokens = (raw.split(",") if raw.strip() else []) if many else [raw]
         try:
-            v = self._p.getfloat(section, key, fallback=default)
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key}: {e}") from e
-        if v is not None and not math.isfinite(v):
-            raise ConfigError(f"[{section}] {key}: must be finite, got {v}")
-        return v
-
-    def getint(self, section, key, default=None):
-        try:
-            v = self._p.getint(section, key, fallback=default)
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key}: {e}") from e
-        return v
-
-    def getlist(self, section, key, kind=float, default=None) -> list:
-        """Comma-separated finite values of one kind; a blank value is the
-        empty list.  A missing key gives `default`, or is an error when
-        `default` is None."""
-        if default is None:
-            raw = self.require(section, key)
-        else:
-            raw = self.get(section, key, default)
-        if not raw.strip():
-            return []
-        try:
-            values = [kind(tok) for tok in raw.split(",")]
+            values = [kind(tok) for tok in tokens]
         except ValueError as e:
             raise ConfigError(f"[{section}] {key}: {e}") from e
         for v in values:
-            if not math.isfinite(v):
+            if kind is float and not math.isfinite(v):
                 raise ConfigError(f"[{section}] {key}: must be finite, got {v}")
-        return values
+        return values if many else values[0]
 
-    def require(self, section, key, kind=str):
-        if not self._p.has_option(section, key):
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        if kind is float:
-            return self.getfloat(section, key)
-        if kind is int:
-            return self.getint(section, key)
-        return self._p.get(section, key)
+    getfloat = get  # bench/workloads.py reads [run] t_final through it
 
     # -- assembled pieces -------------------------------------------------
     def _build_params(self) -> ModelParams:
         kind = self.get("model", "beta", "constant")
         try:
             if kind == "constant":
-                beta = ConstantBeta(self.getfloat("model", "beta_value", 1.0))
+                beta = ConstantBeta(self.get("model", "beta_value", 1.0))
             elif kind == "table":
                 beta = TableBeta(
-                    values=tuple(self.getlist("model", "beta_table")),
-                    n_min=self.getint("model", "beta_table_start", 0),
-                    left=self.getfloat("model", "beta_left", None),
-                    right=self.getfloat("model", "beta_right", None),
+                    values=tuple(self.get("model", "beta_table", _REQUIRED)),
+                    n_min=self.get("model", "beta_table_start", 0),
+                    left=self.get("model", "beta_left"),
+                    right=self.get("model", "beta_right"),
                 )
             elif kind == "lineardrift":
                 beta = LinearDriftBeta(
-                    slope=self.getfloat("model", "beta_slope", 1.0),
-                    c=self.getfloat("model", "c", 1.0),
+                    slope=self.get("model", "beta_slope", 1.0),
+                    c=self.get("model", "c", 1.0),
                 )
             else:
                 raise ConfigError(f"unknown beta profile {kind!r}")
             return ModelParams(
-                c=self.getfloat("model", "c", 1.0),
-                C_lambda=self.getfloat("model", "c_lambda", 1.0),
-                C_mu=self.getfloat("model", "c_mu", 1.0),
+                c=self.get("model", "c", 1.0),
+                C_lambda=self.get("model", "c_lambda", 1.0),
+                C_mu=self.get("model", "c_mu", 1.0),
                 beta=beta,
-                alpha=self.getfloat("model", "alpha", 0.0),
+                alpha=self.get("model", "alpha", 0.0),
             )
         except (InvalidProfile, ValueError) as e:
             raise ConfigError(f"invalid model section: {e}") from e
 
     def _build_window(self) -> Window:
-        if self._p.has_option("window", "m"):
-            m = self.getint("window", "m")
-            if m < 1:
-                raise ConfigError(f"window half-width m must be >= 1, got {m}")
-            return Window.symmetric(m)
-        if self._p.has_option("window", "n_min"):
+        m = self.get("window", "m")
+        if m is None and (self._p.has_option("window", "n_min")
+                          or self._p.has_option("window", "size")):
             return Window(
-                self.require("window", "n_min", int),
-                self.require("window", "size", int),
+                self.get("window", "n_min", _REQUIRED),
+                self.get("window", "size", _REQUIRED),
             )
-        return Window.symmetric(25)
+        m = 25 if m is None else m
+        if m < 1:
+            raise ConfigError(f"window half-width m must be >= 1, got {m}")
+        return Window.symmetric(m)
 
     def initial_state(self) -> SystemState:
         spec = self.get("initial", "p", "delta:0")
@@ -175,17 +163,17 @@ class RunConfig:
                 s = float(spec.split(":", 1)[1])
                 p0 = discrete_gaussian(self.params.c, s, self.window)
             elif spec == "table":
-                start = self.getint("initial", "p_table_start", self.window.n_min)
+                start = self.get("initial", "p_table_start", self.window.n_min)
                 vals = np.zeros(self.window.size)
-                for i, x in enumerate(self.getlist("initial", "p_table")):
+                for i, x in enumerate(self.get("initial", "p_table", _REQUIRED)):
                     vals[self.window.index(start + i)] = x
                 p0 = LatticeMeasure.normalized(self.window, vals)
             else:
                 raise ConfigError(f"unknown initial measure spec {spec!r}")
             return SystemState(
                 p=p0,
-                L=self.getfloat("initial", "l0", 1.3),
-                M=self.getfloat("initial", "m0", -0.4),
+                L=self.get("initial", "l0", 1.3),
+                M=self.get("initial", "m0", -0.4),
             )
         except (ValueError, IndexError, WindowTooNarrow) as e:
             raise ConfigError(f"invalid initial section: {e}") from e
@@ -197,10 +185,10 @@ class RunConfig:
             raise ConfigError(f"unknown integrator method {method!r}")
         try:
             return IntegratorConfig(
-                dt_init=self.getfloat("integrator", "dt_init", 1e-3),
-                rel_tol=self.getfloat("integrator", "rel_tol", 1e-8),
-                abs_tol=self.getfloat("integrator", "abs_tol", 1e-12),
-                n_samples=self.getint("integrator", "n_samples", 201),
+                dt_init=self.get("integrator", "dt_init", 1e-3),
+                rel_tol=self.get("integrator", "rel_tol", 1e-8),
+                abs_tol=self.get("integrator", "abs_tol", 1e-12),
+                n_samples=self.get("integrator", "n_samples", 201),
             )
         except ValueError as e:
             raise ConfigError(f"invalid integrator section: {e}") from e
@@ -210,7 +198,7 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as e:
@@ -230,7 +218,7 @@ def _out_dir(cfg: RunConfig, args) -> Path:
 def _seed(cfg: RunConfig, args) -> int:
     if args.seed is not None:
         return args.seed
-    return cfg.getint("run", "seed", 0)
+    return cfg.get("run", "seed", 0)
 
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
@@ -243,7 +231,7 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
 
 
 def _integrate(cfg: RunConfig) -> TrajectoryLog:
-    T = cfg.getfloat("run", "t_final", 20.0)
+    T = cfg.get("run", "t_final", 20.0)
     return integrate(cfg.params, cfg.initial_state(), T, cfg.integrator())
 
 
@@ -322,13 +310,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _solve_k(cfg: RunConfig) -> float:
     """[solve] k, by default the K0 of [initial]."""
-    k = cfg.getfloat("solve", "k", None)
+    k = cfg.get("solve", "k")
     return conserved_K(cfg.initial_state()) if k is None else k
 
 
 def cmd_fixed_point(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    s = cfg.getfloat("solve", "s", None)
+    s = cfg.get("solve", "s")
     if s is None:
         s = solve_s_from_K(cfg.params, _solve_k(cfg))
     fp = fixed_point(cfg.params, s, cfg.window)
@@ -364,17 +352,19 @@ def _frozen_path(cfg: RunConfig, section: str) -> kernel_mod.FrozenPath:
 
 def cmd_kernel_check(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    t0 = cfg.getfloat("kernel", "t0", 0.0)
-    t1 = cfg.getfloat("kernel", "t1", 1.0)
-    substeps = cfg.getint("kernel", "substeps", 50)
-    splits = cfg.getlist("kernel", "splits", float, "")
+    t0 = cfg.get("kernel", "t0", 0.0)
+    t1 = cfg.get("kernel", "t1", 1.0)
+    substeps = cfg.get("kernel", "substeps", 50)
+    splits = cfg.get("kernel", "splits", [])
     for tm in splits:
         if not t0 < tm < t1:
             raise ConfigError(f"[kernel] splits: {tm} outside ({t0}, {t1})")
-    k_maxes = cfg.getlist("kernel", "k_max", int, "")
+    k_maxes = cfg.get("kernel", "k_max", [])
     for k in k_maxes:
         if k < 0:
             raise ConfigError(f"[kernel] k_max: must be >= 0, got {k}")
+    if k_maxes and cfg.get("kernel", "path", "constant") != "constant":
+        raise ConfigError("[kernel] k_max: the Dyson series needs path = constant")
     path = _frozen_path(cfg, "kernel")
     P = kernel_mod.propagate(cfg.params, path, t0, t1, cfg.window, substeps)
     ck_dev = 0.0
@@ -393,7 +383,7 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
         "ck_deviation": ck_dev,
     }
     if k_maxes:
-        sums = kernel_mod.dyson_series(cfg.params, path, t0, t1, cfg.window, k_maxes)
+        sums = kernel_mod.dyson_series(cfg.params, *path.at(t0), t0, t1, cfg.window, k_maxes)
         payload["dyson"] = [
             {
                 "k_max": k,
@@ -413,8 +403,8 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
 def cmd_sample_paths(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     path = _frozen_path(cfg, "paths")
-    n_paths = cfg.getint("paths", "n_paths", 1000)
-    ts = cfg.getlist("paths", "sample_times", float, "0.0,1.0")
+    n_paths = cfg.get("paths", "n_paths", 1000)
+    ts = cfg.get("paths", "sample_times", [0.0, 1.0])
     state0 = cfg.initial_state()
     walks = kernel_mod.sample_paths(
         cfg.params, path, state0.p, ts, n_paths, _seed(cfg, args)
@@ -433,13 +423,13 @@ def cmd_sample_paths(cfg: RunConfig, args) -> int:
 def cmd_particles(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     state0 = cfg.initial_state()
-    n = cfg.getint("particles", "n", 10000)
-    dt = cfg.getfloat("particles", "dt", 1e-3)
-    T = cfg.getfloat("particles", "t_final", cfg.getfloat("run", "t_final", 5.0))
+    n = cfg.get("particles", "n", 10000)
+    dt = cfg.get("particles", "dt", 1e-3)
+    T = cfg.get("particles", "t_final", cfg.get("run", "t_final", 5.0))
     seed = _seed(cfg, args)
     log = run_particles(
         cfg.params, state0.p, state0.L, state0.M, n, T, dt, seed,
-        n_samples=cfg.getint("particles", "n_samples", 51),
+        n_samples=cfg.get("particles", "n_samples", 51),
     )
     with (out / "particles.csv").open("w", newline="") as fh:
         w = csv.writer(fh)

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import PositivityLost, RateOverflow, StepSizeUnderflow
-from .lattice import LatticeMeasure, Window, mean_position
+from .lattice import LatticeMeasure, Window
 from .model import EXP_LIMIT, ModelParams, rate_arrays
 
 MASS_TOL = 1e-9
@@ -152,8 +152,10 @@ def rhs(params: ModelParams, state: SystemState) -> Tuple[np.ndarray, float, flo
 
 
 def conserved_K(state: SystemState) -> float:
-    """K = L + M + sum n p_n, conserved when C_lambda = C_mu."""
-    return state.L + state.M + mean_position(state.p)
+    """K = L + M + sum n p_n, conserved when C_lambda = C_mu; the positions
+    are summed from the window centre ref, as integrate records K."""
+    ref = 0.5 * (state.window.n_min + state.window.n_max)
+    return state.L + state.M + ref + float(np.dot(state.window.sites() - ref, state.p.values))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,7 @@ def _pflow(params, a_vec, b_vec, n, p, L, M, h):
     expo = 0.5 * c * (n - s_bar) ** 2
     # q = p / sqrt(pi): guard the conjugation against overflow; sites with
     # a huge weight must carry (essentially) no mass.
-    big = expo > 700.0
+    big = expo > EXP_LIMIT
     if big.any() and np.abs(p[big]).max() > 1e-250:
         raise RateOverflow("measure mass too far from (L+M)/2 for the window")
     q = np.zeros_like(p)

@@ -53,10 +53,6 @@ class PositivityLost(NumericalError):
     """The integrated measure developed negative mass beyond tolerance."""
 
 
-class NonConstantPath(NlwalkError):
-    """Dyson evaluation needs a constant (L, M) path on the interval."""
-
-
 class DominatingRateOverflow(NumericalError):
     """Thinning bound too large to sample against."""
 

@@ -33,7 +33,7 @@ from typing import IO, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DominatingRateOverflow, NonConstantPath, RateOverflow
+from .errors import DominatingRateOverflow, RateOverflow
 from .lattice import LatticeMeasure, Window, log_plus_weights
 from .model import ModelParams, rate_arrays
 
@@ -247,28 +247,18 @@ def propagate(
     return Kernel(window=window, t0=t0, t1=t1, rows=P)
 
 
-def _constant_generator(params, path, t0, t1, window):
-    knots = [t0, t1] + [float(t) for t in path.times if t0 < t < t1]
-    Ls, Ms = zip(*(path.at(t) for t in knots))
-    if max(Ls) - min(Ls) > 1e-12 or max(Ms) - min(Ms) > 1e-12:
-        raise NonConstantPath(
-            "dyson_series needs a constant (L, M) path on [t0, t1]; "
-            "substep through propagate instead"
-        )
-    return generator_at(params, path, t0, window)
-
-
 def dyson_series(
     params: ModelParams,
-    path: FrozenPath,
+    L: float,
+    M: float,
     t0: float,
     t1: float,
     window: Window,
     k_maxes: Sequence[int],
 ) -> List[Tuple[Kernel, float]]:
-    """For each k_max in k_maxes, in order: the partial sum of the
-    jump-count series up to k_max jumps, plus the remainder bound in the
-    alpha-weighted operator norm.
+    """For each k_max in k_maxes, in order: the partial sum up to k_max
+    jumps of the jump-count series of the generator frozen at (L, M), plus
+    the remainder bound in the alpha-weighted operator norm.
 
     The terms T_1 .. T_K, K = max(k_maxes), are built once over a base
     step h = tau / 2^s with lambda_dom * h <= 2^-10, from K + 8 Poisson
@@ -283,7 +273,7 @@ def dyson_series(
         raise ValueError("k_maxes must be a nonempty list of ints >= 0")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    gen = _constant_generator(params, path, t0, t1, window)
+    gen = generator_at(params, FrozenPath.constant(L, M), t0, window)
     tau = t1 - t0
     n = window.size
     if tau == 0.0:

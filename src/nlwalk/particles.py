@@ -128,10 +128,6 @@ class Ensemble:
         probs = probs / probs.sum()
         return cls(params, p0.window, rng.multinomial(n_particles, probs), L0, M0)
 
-    @property
-    def n_particles(self) -> int:
-        return self._n
-
     def histogram(self) -> np.ndarray:
         return self.counts / self._n
 

@@ -140,7 +140,7 @@ def test_criterion_06_kernel_properties(bench_params, bench_log_T20):
         # jump-count series vs the propagator on a constant path
         const = FrozenPath.constant(1.3, -0.4)
         ref = propagate(bench_params, const, 0.0, 0.1, w, substeps=10)
-        for approx, bound in dyson_series(bench_params, const, 0.0, 0.1, w, (2, 4, 6)):
+        for approx, bound in dyson_series(bench_params, 1.3, -0.4, 0.0, 0.1, w, (2, 4, 6)):
             assert kernel_weighted_distance(approx, ref, 0.0) < bound
 
 

@@ -239,6 +239,32 @@ class TestSimulate:
         assert "jump rates overflowed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [
+            ("beta = constant", "beta = table", "model", "beta_table"),
+            ("p = delta:0", "p = table", "initial", "p_table"),
+            ("m = 12", "size = 25", "window", "n_min"),
+            ("m = 12", "n_min = -12", "window", "size"),
+        ],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, old, new, section, key):
+        cfg = write_config(tmp_path, BASE.replace(old, new))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: missing required key {key!r} in section [{section}]\n"
+
+    def test_percent_sign_is_read_as_written(self, tmp_path, capsys):
+        # no interpolation: a % in a value is a plain character
+        cfg = write_config(tmp_path, BASE.replace("t_final = 1.0", "t_final = 5%"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: [run] t_final: ")
+        cfg = write_config(tmp_path, BASE + "\n[diagnose]\ninput = a%b\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert strict_json(out / "summary.json")["config"]["diagnose"] == {"input": "a%b"}
+
+
 class TestOtherCommands:
     def test_solve_s_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE + "\n[solve]\nk = 0.0\n")
@@ -335,6 +361,17 @@ class TestOtherCommands:
         assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
         [dyson] = strict_json(out / "kernel_check.json")["dyson"]
         assert dyson["remainder_bound"] is None
+
+    def test_kernel_check_dyson_needs_a_constant_path(self, tmp_path, capsys, monkeypatch):
+        # the Dyson series takes one frozen (L, M): k_max along the dynamics
+        # path is refused before the path is integrated
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before the refusal")
+
+        monkeypatch.setattr("nlwalk.cli.integrate", integrate)
+        cfg = write_config(tmp_path, BASE + "\n[kernel]\nk_max = 2\npath = dynamics\n")
+        assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: [kernel] k_max: ")
 
     def test_sample_paths_reproducible(self, tmp_path):
         text = BASE.replace("m = 12", "m = 8") + textwrap.dedent(

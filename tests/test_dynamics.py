@@ -168,6 +168,22 @@ class TestConservedK:
         state = SystemState(p=fp.pi, L=fp.L_s, M=fp.M_s)
         assert conserved_K(state) == pytest.approx(K_of_s(params, 0.4), abs=1e-12)
 
+    def test_equals_the_K_integrate_records(self):
+        # both sum the positions from the window centre, so they agree bit
+        # for bit on offset windows too: simulate's s* and solve-s's s*
+        # solve for one K
+        r = np.random.default_rng(7)
+        for _ in range(300):
+            w = Window(int(r.integers(-40, 40)), int(r.integers(3, 30)))
+            values = r.random(w.size)
+            values[[0, -1]] = 0.0  # no boundary-mass warning
+            state0 = SystemState(
+                p=LatticeMeasure.normalized(w, values),
+                L=r.uniform(-2.0, 2.0), M=r.uniform(-2.0, 2.0),
+            )
+            log = integrate(ModelParams(), state0, 0.0, IntegratorConfig())
+            assert conserved_K(state0) == log.samples[0].K
+
 
 class TestIntegrate:
     def test_zero_horizon(self):
