@@ -143,8 +143,10 @@ class RunConfig:
 
     def _build_window(self) -> Window:
         m = self.get("window", "m")
-        if m is None and (self._p.has_option("window", "n_min")
-                          or self._p.has_option("window", "size")):
+        placed = [k for k in ("n_min", "size") if self._p.has_option("window", k)]
+        if placed and m is not None:
+            raise ConfigError(f"[window] m excludes {' and '.join(placed)}")
+        if placed:
             return Window(
                 self.get("window", "n_min", _REQUIRED),
                 self.get("window", "size", _REQUIRED),
@@ -211,7 +213,10 @@ def load_config(path: str) -> RunConfig:
 def _out_dir(cfg: RunConfig, args) -> Path:
     out = args.out or cfg.get("run", "out", ".")
     p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make the output directory {p}: {e.strerror}") from e
     return p
 
 
@@ -454,7 +459,7 @@ def cmd_particles(cfg: RunConfig, args) -> int:
 def cmd_diagnose(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     src = Path(cfg.get("diagnose", "input", None) or out / "trajectory.csv")
-    if not src.exists():
+    if not src.is_file():
         raise ConfigError(f"trajectory file not found: {src}")
     with src.open(newline="") as fh:
         rows = list(csv.DictReader(fh))

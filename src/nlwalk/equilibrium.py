@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoFixedPoint, NumericalError, WindowTooNarrow
 from .lattice import LatticeMeasure, Window
-from .model import ModelParams, rate_arrays
+from .model import ModelParams, log_beta_array, rate_arrays
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,11 @@ def discrete_gaussian(c: float, s: float, window: Window) -> LatticeMeasure:
 def fixed_point(params: ModelParams, s: float, window: Window) -> FixedPoint:
     """Member of the fixed-point family at parameter s.
 
-    The denominator's exponents e = -c(k-s)(k-s+1) peak at s - 1/2, and
-    beta moves the peak of its terms by up to half a site more, so they
-    are summed over the sites of s - 1/2, shifted by their maximum before
-    exp: no factor over- or underflows for any c.  A beta that underflows
-    to 0 (LinearDriftBeta far from 0) weighs 0 where exp(e) is below e^-40
-    of its peak and raises NumericalError nearer."""
+    The denominator's exponents e = log beta(k) - c(k-s)(k-s+1) peak
+    within half a site of s - 1/2 (the Gaussian's peak; beta moves it by
+    up to half a site more), so they are summed over the sites of s - 1/2,
+    shifted by their maximum before exp: no factor over- or underflows for
+    any c, however far beta(k) itself is below the float range."""
     if not params.mean_reverting:
         raise NoFixedPoint(
             f"C_lambda={params.C_lambda} != C_mu={params.C_mu}: there are no fixed points"
@@ -104,13 +103,10 @@ def fixed_point(params: ModelParams, s: float, window: Window) -> FixedPoint:
     c = params.c
     n, g, xi = _gaussian(c, s)
     k = n - (math.floor(s + 0.5) - math.floor(s))  # the same reach around floor(s)
-    e = -c * (k - s) * (k - s + 1.0)
+    log_beta = log_beta_array(params.beta, int(k[0]), int(k[-1]))
+    e = log_beta - c * (k - s) * (k - s + 1.0)
     e_max = float(e.max())
-    w = np.exp(e - e_max)
-    beta = np.array([params.beta.value(j) for j in k.tolist()], dtype=float)
-    if not (beta[w >= math.exp(-40.0)] > 0.0).all():
-        raise NumericalError(f"beta underflows within e^-40 of the peak (c={c}, s={s})")
-    denom = math.fsum(beta * w)
+    denom = math.fsum(np.exp(e - e_max))
     d = (math.log(params.C_lambda) + math.log(xi) - e_max - math.log(denom)) / c
     pi = _on_window(c, s, window, n, g, xi)
     return FixedPoint(s=s, d=d, L_s=s + d, M_s=s - d, pi=pi, Xi=xi)

@@ -33,7 +33,8 @@ class NumericalError(NlwalkError):
 
 
 class InvalidProfile(NlwalkError):
-    """A beta profile stores or produces a non-positive value."""
+    """A beta profile or ModelParams is built from invalid data: a
+    non-positive value, an empty table or a mismatched c."""
 
 
 class RateOverflow(NumericalError):

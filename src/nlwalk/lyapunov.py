@@ -17,9 +17,9 @@ from .dynamics import SystemState, TrajectoryLog
 from .lattice import LatticeMeasure, mean_position
 from .model import (
     ModelParams,
-    beta_array,
     check_beta_bounded,
     largest_contraction_constant,
+    log_beta_array,
     rate_arrays,
 )
 
@@ -115,7 +115,8 @@ def monitor(log: TrajectoryLog) -> MonitorReport:
         q_bound = None
         q_bounded = bool(np.isfinite(q_vals).all())
 
-    inf_beta = float(beta_array(params.beta, window.n_min - 1, window.n_max + 1).min())
+    log_beta = log_beta_array(params.beta, window.n_min - 1, window.n_max + 1)
+    inf_beta = float(np.exp(log_beta.min()))
     offsets = np.array([abs(mean_position(s.state.p) - s.state.s) for s in samples])
     mean_offset_bound = q_max / inf_beta if inf_beta > 0 else None
 

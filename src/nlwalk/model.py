@@ -3,9 +3,9 @@
 The walk jumps n -> n+1 at rate  lambda_n = beta(n) * exp(-c*(n - L))
 and n -> n-1 at rate            mu_n     = beta(n-1) * exp(c*(n - M)).
 
-All profile kinds are positive on every window; the two admissibility
-checks (bounded sup; strict one-step contraction of beta/e differences)
-live here as plain functions.
+Every profile, validated positive when built, gives log beta(n) directly;
+the two admissibility checks (bounded sup; strict one-step contraction of
+beta/e differences) live here as plain functions.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class ConstantBeta:
         if not self.b > 0:
             raise InvalidProfile(f"constant beta must be positive, got {self.b}")
 
-    def value(self, n: int) -> float:
-        return self.b
+    def log_value(self, n: int) -> float:
+        return math.log(self.b)
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,12 @@ class TableBeta:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def value(self, n: int) -> float:
+    def log_value(self, n: int) -> float:
         if n < self.n_min:
-            return self.left
+            return math.log(self.left)
         if n >= self.n_min + len(self.values):
-            return self.right
-        return self.values[n - self.n_min]
+            return math.log(self.right)
+        return math.log(self.values[n - self.n_min])
 
 
 @dataclass(frozen=True)
@@ -83,21 +83,12 @@ class LinearDriftBeta:
         if not (self.slope > 0 and self.c > 0):
             raise InvalidProfile("linear-drift gauge needs positive slope and c")
 
-    def value(self, n: int) -> float:
-        if n >= 0:
-            return self.slope * (n + 1) * math.exp(-self.c * (n + 1))
-        return self.slope * (-n) * math.exp(self.c * n)
+    def log_value(self, n: int) -> float:
+        k = n + 1 if n >= 0 else -n  # beta(n) = slope k e^{-ck}
+        return math.log(self.slope) + math.log(k) - self.c * k
 
 
 BetaProfile = Union[ConstantBeta, TableBeta, LinearDriftBeta]
-
-
-def eval_beta(profile: BetaProfile, n: int) -> float:
-    """beta(n); positive for every supported profile."""
-    v = profile.value(n)
-    if not v > 0:
-        raise InvalidProfile(f"beta({n}) = {v} is not positive")
-    return v
 
 
 @dataclass(frozen=True)
@@ -138,20 +129,21 @@ def jump_rates(params: ModelParams, L: float, M: float, n: int) -> Tuple[float, 
         raise RateOverflow(
             f"rate exponent out of range at n={n} (L={L}, M={M}, c={params.c})"
         )
-    lam = eval_beta(params.beta, n) * math.exp(a)
-    mu = eval_beta(params.beta, n - 1) * math.exp(b)
+    lam = math.exp(params.beta.log_value(n) + a)
+    mu = math.exp(params.beta.log_value(n - 1) + b)
     return lam, mu
 
 
 @functools.lru_cache(maxsize=64)
-def beta_array(profile: BetaProfile, n_lo: int, n_hi: int) -> np.ndarray:
-    """beta(n) for n in [n_lo, n_hi] inclusive, as a read-only float array.
+def log_beta_array(profile: BetaProfile, n_lo: int, n_hi: int) -> np.ndarray:
+    """log beta(n) for n in [n_lo, n_hi] inclusive, as a read-only float
+    array: the one place the library reads a profile.
 
     Cached per (profile, n_lo, n_hi): the profiles are frozen, so every
     caller gets the same array.  The dtype is fixed to float because equal
     profiles such as ConstantBeta(1) and ConstantBeta(1.0) share an entry.
     """
-    out = np.array([eval_beta(profile, n) for n in range(n_lo, n_hi + 1)], dtype=float)
+    out = np.array([profile.log_value(n) for n in range(n_lo, n_hi + 1)], dtype=float)
     out.flags.writeable = False
     return out
 
@@ -172,7 +164,8 @@ def check_rate_exponents(params: ModelParams, L: float, M: float, window: Window
 def rate_arrays(
     params: ModelParams, L: float, M: float, window: Window, truncated: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized (lambda, mu) over the window.
+    """Vectorized (lambda, mu) over the window, each rate formed once as
+    exp(log beta + exponent): a rate below the float range is 0.
 
     With truncated=True the off-window jumps are zeroed (lambda at the
     right edge, mu at the left edge), which is the finite-chain
@@ -186,8 +179,8 @@ def rate_arrays(
     # a huge beta can still carry a rate past the float range: it is inf,
     # and each consumer refuses an inf rate where it would use it
     with np.errstate(over="ignore"):
-        lam = beta_array(params.beta, window.n_min, window.n_max) * np.exp(a)
-        mu = beta_array(params.beta, window.n_min - 1, window.n_max - 1) * np.exp(b)
+        lam = np.exp(log_beta_array(params.beta, window.n_min, window.n_max) + a)
+        mu = np.exp(log_beta_array(params.beta, window.n_min - 1, window.n_max - 1) + b)
     if truncated:
         lam[-1] = 0.0
         mu[0] = 0.0
@@ -196,7 +189,7 @@ def rate_arrays(
 
 def check_beta_bounded(profile: BetaProfile, window: Window) -> Tuple[bool, float]:
     """Boundedness of beta: (holds, sup over window plus extensions)."""
-    sup = float(beta_array(profile, window.n_min, window.n_max).max())
+    sup = float(np.exp(log_beta_array(profile, window.n_min, window.n_max)).max())
     if isinstance(profile, TableBeta):
         sup = max(sup, profile.left, profile.right)
     return math.isfinite(sup), sup
@@ -206,7 +199,7 @@ def largest_contraction_constant(profile: BetaProfile, window: Window) -> float:
     """min over the window of beta(n) - beta(n+-1)/e.  The strict
     contraction condition beta(n+-1)/e - beta(n) < -C holds for every
     0 < C below it; a value <= 0 means the condition fails."""
-    beta = beta_array(profile, window.n_min - 1, window.n_max + 1)
+    beta = np.exp(log_beta_array(profile, window.n_min - 1, window.n_max + 1))
     inv_e = 1.0 / math.e
     b = beta[1:-1]
     return float(min((b - inv_e * beta[2:]).min(), (b - inv_e * beta[:-2]).min()))

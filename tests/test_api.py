@@ -48,3 +48,19 @@ def test_bench_tracer_installs():
     with tracer.Tracer(0).installed():
         assert nlwalk.kernel.rate_arrays is not rate_arrays
     assert nlwalk.kernel.rate_arrays is rate_arrays
+
+
+def test_beta_is_read_only_in_model():
+    # every rate and scan takes beta from model.log_beta_array, so no other
+    # module calls a profile's log_value
+    callers = [
+        path.name for path in (ROOT / "src" / "nlwalk").glob("*.py")
+        if path.name != "model.py"
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "log_value"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert not callers, f"log_value called outside model.py: {callers}"

@@ -254,6 +254,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"error: missing required key {key!r} in section [{section}]\n"
 
+    @pytest.mark.parametrize(
+        "placed", ["n_min = -3", "size = 7", "n_min = -3\nsize = 7"],
+        ids=["n_min", "size", "both"],
+    )
+    def test_window_m_excludes_n_min_and_size(self, tmp_path, capsys, placed):
+        # m with n_min or size is refused, not read as m alone
+        cfg = write_config(tmp_path, BASE.replace("m = 12", "m = 12\n" + placed))
+        out = tmp_path / "o"
+        assert main(["fixed-point", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: [window] m excludes ")
+        assert not out.exists()
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE + "\n[solve]\ns = 0.0\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["fixed-point", "--config", cfg, "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make the output directory ")
+        assert len(err.splitlines()) == 1
+
     def test_percent_sign_is_read_as_written(self, tmp_path, capsys):
         # no interpolation: a % in a value is a plain character
         cfg = write_config(tmp_path, BASE.replace("t_final = 1.0", "t_final = 5%"))
@@ -501,6 +522,11 @@ class TestOtherCommands:
         payload = json.loads((out / "diagnose.json").read_text())
         assert payload["W_violations"] == 0
         assert payload["verdict"] == "monotone"
+
+    def test_diagnose_input_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"[diagnose]\ninput = {tmp_path}\n")
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: trajectory file not found: {tmp_path}\n"
 
     def test_diagnose_counts_W_increases(self, tmp_path):
         # raise W in two rows to 1e-6 and 1e-3 above the row before:

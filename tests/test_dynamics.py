@@ -29,7 +29,7 @@ from nlwalk import (
 from nlwalk.dynamics import MASS_TOL, NEG_TOL, TRUNC_TOL, _band, _splitting_advance
 from nlwalk.errors import NlwalkError, RateOverflow, StepSizeUnderflow
 from nlwalk.lyapunov import Q_value
-from nlwalk.model import eval_beta, rate_arrays
+from nlwalk.model import rate_arrays
 
 PROFILES = [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()]
 
@@ -92,10 +92,10 @@ class TestRhsSd:
         _, dL, dM = rhs(params, state)
         c, s, d = params.c, state.s, state.d
         n = state.window.sites().astype(float)
-        a = np.array([eval_beta(params.beta, k) for k in state.window.sites()])
-        b = np.array([eval_beta(params.beta, k - 1) for k in state.window.sites()])
-        a = a * np.exp(c * (s - n))
-        b = b * np.exp(c * (n - s))
+        a = np.array([params.beta.log_value(k) for k in state.window.sites()])
+        b = np.array([params.beta.log_value(k - 1) for k in state.window.sites()])
+        a = np.exp(a + c * (s - n))
+        b = np.exp(b + c * (n - s))
         a[-1] = 0.0
         b[0] = 0.0
         ecd = math.exp(c * d)
@@ -141,10 +141,10 @@ class TestRhsSd:
                 p = LatticeMeasure.normalized(w, r.random(w.size))
                 state = SystemState(p=p, L=center + 0.8, M=center - 1.7)
                 L, M = state.L, state.M
-                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
-                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
-                lam = bn * np.exp(-c * (n - L))
-                mu = bnm1 * np.exp(c * (n - M))
+                log_bn = np.array([beta.log_value(k) for k in range(w.n_min, w.n_max + 1)])
+                log_bnm1 = np.array([beta.log_value(k - 1) for k in range(w.n_min, w.n_max + 1)])
+                lam = np.exp(log_bn + -c * (n - L))
+                mu = np.exp(log_bnm1 + c * (n - M))
                 lam[-1] = 0.0
                 mu[0] = 0.0
                 dp_ref = -(lam + mu) * p.values
@@ -471,6 +471,19 @@ class TestSplittingWindowLimit:
             ModelParams(), state0, 0.5, IntegratorConfig(dt_init=1e-4, n_samples=6)
         )
         assert log.final().L == pytest.approx(695.935, abs=1e-3)
+
+    def test_rates_below_the_float_range_are_zero(self):
+        # beta(n) = |n| e^{cn} is below the float range on [-1290, -1276]
+        # at c = 0.77, and so is every rate: p holds still while L and M
+        # move at C_lambda and -C_mu
+        params = ModelParams(c=0.77, beta=LinearDriftBeta(c=0.77))
+        w = Window(-1290, 15)
+        state0 = SystemState(p=LatticeMeasure.delta(-1283, w), L=-1282.7, M=-1283.4)
+        log = integrate(params, state0, 1.0, IntegratorConfig(n_samples=5))
+        assert np.array_equal(log.final().p.values, state0.p.values)
+        assert log.final().L == pytest.approx(-1281.7, abs=1e-9)
+        assert log.final().M == pytest.approx(-1284.4, abs=1e-9)
+        assert max(abs(s.K - log.samples[0].K) for s in log.samples) == 0.0
 
     def test_shift_invariance(self):
         # with constant beta the system commutes with a shift of the

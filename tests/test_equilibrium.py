@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ XI_ORACLE = 1.772637204826652          # sum e^{-n^2}
 D_ORACLE = -0.24979310725444673        # ln(Xi / sum_k e^{-k^2-k})
 # d for LinearDriftBeta at c = 43.67, s = -16: 50-digit mpmath over |n + 16| <= 44
 D_LINEAR_ORACLE = 15.93651044831143
+# the same at c = 300, s = -4, over |n + 4| <= 60
+D_LINEAR_ORACLE_300 = 3.995379018796267
 C_GRID = (0.05, 0.3, 1.0, 2.5, 5.0)
 
 
@@ -90,14 +93,47 @@ class TestFixedPoint:
             assert fp.d == pytest.approx(-math.log(2.0) / c, rel=1e-15)
 
     def test_beta_underflow(self):
-        # beta(-18) = 18 e^-786 reads 0, at a weight e^-87 below the peak
+        # beta(-18) = 18 e^-786 is below the float range, at a weight e^-87
+        # below the peak
         c = 43.67
         fp = fixed_point(ModelParams(c=c, beta=LinearDriftBeta(c=c)), -16.0, Window(-26, 21))
         assert fp.d == pytest.approx(D_LINEAR_ORACLE, rel=1e-14)
-        # beta(-4) = 4 e^-1200 reads 0 at the peak
-        with pytest.raises(NumericalError):
-            fixed_point(ModelParams(c=300.0, beta=LinearDriftBeta(c=300.0)), -4.0,
-                        Window.symmetric(10))
+        # beta(-4) = 4 e^-1200 is below it at the peak
+        fp = fixed_point(ModelParams(c=300.0, beta=LinearDriftBeta(c=300.0)), -4.0,
+                         Window.symmetric(10))
+        assert fp.d == pytest.approx(D_LINEAR_ORACLE_300, rel=1e-14)
+
+
+def d_mpmath(c, slope, s):
+    """d of the LinearDriftBeta fixed point at s, to 50 digits, summed over
+    the sites within sqrt(300/c) + 2 of floor(s): every term left out is
+    below e^-250 of the largest."""
+    with mpmath.workdps(50):
+        c, s = mpmath.mpf(c), mpmath.mpf(s)
+        reach = math.ceil(math.sqrt(300.0 / float(c))) + 2
+        sites = range(math.floor(s) - reach, math.floor(s) + reach + 1)
+
+        def beta(k):
+            k = mpmath.mpf(k)
+            return slope * ((k + 1) * mpmath.exp(-c * (k + 1)) if k >= 0 else -k * mpmath.exp(c * k))
+
+        xi = mpmath.fsum(mpmath.exp(-c * (n - s) ** 2) for n in sites)
+        denom = mpmath.fsum(beta(k) * mpmath.exp(-c * (k - s) * (k - s + 1)) for k in sites)
+        return float(mpmath.log(xi / denom) / c)
+
+
+def test_fixed_point_linear_drift_far_from_zero():
+    # c|s| in [700, 760]: beta near s is subnormal or below the float range,
+    # and d still matches 50-digit mpmath to the last digits
+    r = np.random.default_rng(8)
+    for _ in range(32):
+        c = float(np.exp(r.uniform(math.log(0.2), math.log(63.0))))
+        s = float(r.choice([-1.0, 1.0]) * r.uniform(700.0, 760.0) / c)
+        slope = float(r.uniform(0.5, 2.0))
+        m = math.ceil(math.sqrt(40.0 / c)) + 3
+        params = ModelParams(c=c, beta=LinearDriftBeta(slope=slope, c=c))
+        d = fixed_point(params, s, Window(math.floor(s) - m, 2 * m + 2)).d
+        assert abs(d - d_mpmath(c, slope, s)) <= 1e-12 * max(1.0, abs(d)), (c, s, slope)
 
 
 class TestKofS:

@@ -27,7 +27,7 @@ from nlwalk import (
     total_variation,
 )
 from nlwalk.lyapunov import W_increases
-from nlwalk.model import eval_beta, rate_arrays
+from nlwalk.model import rate_arrays
 
 LN_XI = 0.5724683839469007  # ln partition_Xi(1, 0), frozen oracle
 
@@ -69,7 +69,7 @@ class TestQ:
         [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()],
     )
     def test_bit_equal_to_inline_formula(self, beta):
-        # Q written out from beta and exp, as Q_value once computed it
+        # Q written out from log beta and exp, as Q_value once computed it
         for c in (1.0, 0.7, 1.3):
             if isinstance(beta, LinearDriftBeta):
                 beta = LinearDriftBeta(slope=beta.slope, c=c)  # must match
@@ -81,9 +81,9 @@ class TestQ:
                 p = LatticeMeasure.normalized(w, r.random(w.size))
                 state = SystemState(p=p, L=center - 0.6, M=center + 1.1)
                 s = state.s
-                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
-                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
-                terms = bn * np.exp(c * (s - n)) + bnm1 * np.exp(c * (n - s))
+                log_bn = np.array([beta.log_value(k) for k in range(w.n_min, w.n_max + 1)])
+                log_bnm1 = np.array([beta.log_value(k - 1) for k in range(w.n_min, w.n_max + 1)])
+                terms = np.exp(log_bn + c * (s - n)) + np.exp(log_bnm1 + c * (n - s))
                 assert Q_value(params, state) == float(np.dot(p.values, terms))
 
 

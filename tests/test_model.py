@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,27 +16,47 @@ from nlwalk import (
     rate_arrays,
 )
 from nlwalk.errors import InvalidProfile, RateOverflow
-from nlwalk.model import beta_array, eval_beta, jump_rates, largest_contraction_constant
+from nlwalk.model import jump_rates, largest_contraction_constant, log_beta_array
+
+
+def beta_loop(prof, lo, hi):
+    """beta(n) for n in [lo, hi], site by site from log_value."""
+    return np.exp(np.array([prof.log_value(n) for n in range(lo, hi + 1)], dtype=float))
 
 
 class TestEvalBeta:
+    # beta read at one site, as each profile's log_value
+
     def test_constant(self):
-        assert eval_beta(ConstantBeta(1.0), 7) == 1.0
+        assert ConstantBeta(1.0).log_value(7) == 0.0
+        assert ConstantBeta(2.5).log_value(-7) == math.log(2.5)
 
     def test_table_lookup(self):
         prof = TableBeta(values=(2.0, 3.0, 4.0), n_min=-1)
-        assert eval_beta(prof, 0) == 3.0
+        assert prof.log_value(0) == math.log(3.0)
 
     def test_table_extension(self):
         prof = TableBeta(values=(2.0, 3.0, 4.0), n_min=-1, right=5.0)
-        assert eval_beta(prof, 10) == 5.0
-        assert eval_beta(prof, -10) == 2.0  # default left extension
+        assert prof.log_value(10) == math.log(5.0)
+        assert prof.log_value(-10) == math.log(2.0)  # default left extension
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidProfile):
             TableBeta(values=(1.0, 0.0))
         with pytest.raises(InvalidProfile):
             ConstantBeta(-1.0)
+
+    def test_linear_drift_far_from_zero(self):
+        # beta(n) = slope (n+1) e^{-c(n+1)} for n >= 0 and slope |n| e^{cn}
+        # below, far outside the float range at these sites; its log is
+        # finite and matches 50-digit mpmath
+        prof = LinearDriftBeta(slope=0.5, c=0.77)
+        for n in (-5000, -1283, -1, 0, 3, 1290, 10**6):
+            with mpmath.workdps(50):
+                m, c = mpmath.mpf(n), mpmath.mpf(0.77)
+                beta = 0.5 * ((m + 1) * mpmath.exp(-c * (m + 1)) if n >= 0 else -m * mpmath.exp(c * m))
+                exact = float(mpmath.log(beta))
+            assert prof.log_value(n) == pytest.approx(exact, rel=4e-16, abs=1e-15)
 
 
 class TestJumpRates:
@@ -104,7 +125,7 @@ class TestConditions:
         prof = LinearDriftBeta(slope=1.0, c=1.0)
         holds, sup = check_beta_bounded(prof, Window.symmetric(50))
         assert holds
-        assert sup == max(prof.value(n) for n in range(-50, 51))
+        assert sup == beta_loop(prof, -50, 50).max()
 
     # the contraction condition with constant C holds iff C is below
     # largest_contraction_constant
@@ -143,28 +164,29 @@ class TestConditions:
         ],
     )
     def test_window_scans_match_site_loops(self, prof):
-        # the scans as site-by-site loops over eval_beta, with the
-        # contraction verdict taken at, just above and just below the
+        # the scans as site-by-site loops over beta = exp(log_value), with
+        # the contraction verdict taken at, just above and just below the
         # largest constant
         inv_e = 1.0 / math.e
         for w in (Window.symmetric(10), Window(-5, 11), Window(3, 20)):
             sites = [int(n) for n in w.sites()]
-            sup = max(eval_beta(prof, n) for n in sites)
+            beta = dict(zip(range(w.n_min - 1, w.n_max + 2),
+                            beta_loop(prof, w.n_min - 1, w.n_max + 1).tolist()))
+            sup = max(beta[n] for n in sites)
             if isinstance(prof, TableBeta):
                 sup = max(sup, prof.left, prof.right)
             assert check_beta_bounded(prof, w) == (True, sup)
             C_ref = math.inf
             for n in sites:
-                b = eval_beta(prof, n)
-                C_ref = min(C_ref, b - inv_e * eval_beta(prof, n + 1))
-                C_ref = min(C_ref, b - inv_e * eval_beta(prof, n - 1))
+                C_ref = min(C_ref, beta[n] - inv_e * beta[n + 1])
+                C_ref = min(C_ref, beta[n] - inv_e * beta[n - 1])
             assert largest_contraction_constant(prof, w) == C_ref
             for C in (C_ref, math.nextafter(C_ref, 0.0), math.nextafter(C_ref, 9.0), 0.05, 2.0):
                 if not C > 0:
                     continue
                 verdict = all(
-                    inv_e * eval_beta(prof, n + 1) - eval_beta(prof, n) < -C
-                    and inv_e * eval_beta(prof, n - 1) - eval_beta(prof, n) < -C
+                    inv_e * beta[n + 1] - beta[n] < -C
+                    and inv_e * beta[n - 1] - beta[n] < -C
                     for n in sites
                 )
                 assert (largest_contraction_constant(prof, w) > C) == verdict
@@ -219,10 +241,10 @@ class TestRateArrays:
         for w in (Window.symmetric(5), Window(-3, 16), Window(40, 7)):
             for L, M in ((0.3, -0.2), (-2.5, 4.0), (45.0, 41.0)):
                 n = w.sites().astype(float)
-                bn = np.array([eval_beta(beta, k) for k in range(w.n_min, w.n_max + 1)])
-                bnm1 = np.array([eval_beta(beta, k - 1) for k in range(w.n_min, w.n_max + 1)])
-                lam_ref = bn * np.exp(-params.c * (n - L))
-                mu_ref = bnm1 * np.exp(params.c * (n - M))
+                log_bn = np.array([beta.log_value(k) for k in range(w.n_min, w.n_max + 1)])
+                log_bnm1 = np.array([beta.log_value(k - 1) for k in range(w.n_min, w.n_max + 1)])
+                lam_ref = np.exp(log_bn + -params.c * (n - L))
+                mu_ref = np.exp(log_bnm1 + params.c * (n - M))
                 if truncated:
                     lam_ref[-1] = 0.0
                     mu_ref[0] = 0.0
@@ -248,9 +270,9 @@ class TestBetaArray:
     ]
 
     def test_read_only_float(self):
-        beta_array.cache_clear()
+        log_beta_array.cache_clear()
         for prof in self.PROFILES:
-            arr = beta_array(prof, -4, 4)
+            arr = log_beta_array(prof, -4, 4)
             assert arr.dtype == np.float64
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -259,6 +281,6 @@ class TestBetaArray:
     @pytest.mark.parametrize("prof", PROFILES)
     def test_equals_uncached_loop(self, prof):
         for lo, hi in ((-6, 6), (-1, 3), (2, 2)):
-            ref = np.array([eval_beta(prof, n) for n in range(lo, hi + 1)], dtype=float)
-            assert np.array_equal(beta_array(prof, lo, hi), ref)
-            assert beta_array(prof, lo, hi) is beta_array(prof, lo, hi)
+            ref = np.array([prof.log_value(n) for n in range(lo, hi + 1)], dtype=float)
+            assert np.array_equal(log_beta_array(prof, lo, hi), ref)
+            assert log_beta_array(prof, lo, hi) is log_beta_array(prof, lo, hi)
