@@ -54,10 +54,7 @@ _KEYS = {
     },
     "window": {"m": int, "n_min": int, "size": int},
     "initial": {"p": str, "p_table": [float], "p_table_start": int, "l0": float, "m0": float},
-    "integrator": {
-        "method": str, "dt_init": float, "rel_tol": float, "abs_tol": float,
-        "n_samples": int,
-    },
+    "integrator": {"method": str, "dt_init": float, "rel_tol": float, "n_samples": int},
     "run": {"t_final": float, "seed": int, "out": str, "verdict": str},
     "kernel": {
         "t0": float, "t1": float, "k_max": [int], "substeps": int,
@@ -189,7 +186,6 @@ class RunConfig:
             return IntegratorConfig(
                 dt_init=self.get("integrator", "dt_init", 1e-3),
                 rel_tol=self.get("integrator", "rel_tol", 1e-8),
-                abs_tol=self.get("integrator", "abs_tol", 1e-12),
                 n_samples=self.get("integrator", "n_samples", 201),
             )
         except ValueError as e:
@@ -300,6 +296,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "s_final": log.final().s,
             "tv_final": tv_final,
             "W_violations": report.violations,
+            "max_violation": report.max_violation,
+            "q_max": report.q_max,
+            "q_bound": report.q_bound,
+            "q_bounded": report.q_bounded,
+            "mean_offset_max": report.mean_offset_max,
+            "mean_offset_bound": report.mean_offset_bound,
             "fixed_point_exists": cfg.params.mean_reverting,
             "steps": log.steps,
             "rejected_steps": log.rejected_steps,

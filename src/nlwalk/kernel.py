@@ -119,8 +119,6 @@ class Kernel:
     """Row-stochastic transition matrix P(t0, t1) on the window."""
 
     window: Window
-    t0: float
-    t1: float
     rows: np.ndarray = field(repr=False)
 
     def max_row_sum_error(self) -> float:
@@ -232,7 +230,7 @@ def propagate(
         raise ValueError("substeps must be >= 1")
     P = np.eye(window.size)
     if t1 == t0:
-        return Kernel(window=window, t0=t0, t1=t1, rows=P)
+        return Kernel(window=window, rows=P)
     edges = np.linspace(t0, t1, substeps + 1).tolist()
     # one substep length for all: differences of the linspace edges
     # wobble in the last bit and would defeat the reuse
@@ -244,7 +242,7 @@ def propagate(
             frozen = (L, M)
             step = _transition_matrix(*rate_arrays(params, L, M, window), tau)
         P = P @ step
-    return Kernel(window=window, t0=t0, t1=t1, rows=P)
+    return Kernel(window=window, rows=P)
 
 
 def dyson_series(
@@ -277,7 +275,7 @@ def dyson_series(
     tau = t1 - t0
     n = window.size
     if tau == 0.0:
-        return [(Kernel(window=window, t0=t0, t1=t1, rows=np.eye(n)), 0.0) for _ in k_maxes]
+        return [(Kernel(window=window, rows=np.eye(n)), 0.0) for _ in k_maxes]
 
     lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
     s, h = _base_step(lam_dom * tau, tau)
@@ -310,7 +308,7 @@ def dyson_series(
         # a bound past the float range is inf: it bounds nothing
         remainder = 0.0 if log_rem <= -700 else math.exp(log_rem) if log_rem < 709 else math.inf
         rows = sum(T[:k], np.diag(np.exp(tau * gen.diag)))
-        out.append((Kernel(window=window, t0=t0, t1=t1, rows=rows), remainder))
+        out.append((Kernel(window=window, rows=rows), remainder))
     return out
 
 
@@ -377,10 +375,9 @@ def sample_paths(
         L_max, M_min = path.envelope(t0, t1)
         lam, mu = rate_arrays(params, L_max, M_min, window)
         intervals.append((t0, t1, L_max, M_min, lam, mu, lam + mu))
-    # the CDF that rng.choice(sites, p=probs) builds; one uniform against
-    # it picks a site
-    probs = np.clip(p0.values, 0.0, None)
-    cdf = (probs / probs.sum()).cumsum()
+    # the CDF that rng.choice(sites, p=...) builds on p0 clipped and
+    # renormalized; one uniform against it picks a site
+    cdf = LatticeMeasure.normalized(window, p0.values).values.cumsum()
     cdf /= cdf[-1]
 
     bitgen = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))

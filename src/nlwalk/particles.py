@@ -62,10 +62,7 @@ class ParticleSample:
 
 @dataclass
 class ParticleLog:
-    params: ModelParams
     window: Window
-    n_particles: int
-    seed: int
     samples: List[ParticleSample] = field(default_factory=list)
     steps: int = 0
     max_rate_dt: float = 0.0  # largest occupied-site (lambda+mu)*dt of the run
@@ -74,8 +71,9 @@ class ParticleLog:
     def final(self) -> ParticleSample:
         return self.samples[-1]
 
-    def empirical_measure(self, k: int = -1) -> LatticeMeasure:
-        return LatticeMeasure(self.window, self.samples[k].histogram)
+    def empirical_measure(self) -> LatticeMeasure:
+        """The final sample's empirical measure."""
+        return LatticeMeasure(self.window, self.samples[-1].histogram)
 
 
 @dataclass
@@ -124,8 +122,7 @@ class Ensemble:
         rng: np.random.Generator,
     ) -> "Ensemble":
         """N walkers drawn i.i.d. from p0 (negative entries clipped)."""
-        probs = np.clip(p0.values, 0.0, None)
-        probs = probs / probs.sum()
+        probs = LatticeMeasure.normalized(p0.window, p0.values).values
         return cls(params, p0.window, rng.multinomial(n_particles, probs), L0, M0)
 
     def histogram(self) -> np.ndarray:
@@ -218,6 +215,8 @@ def run_particles(
         raise ValueError(f"need a finite t_final >= 0, got {t_final}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"need a finite dt > 0, got {dt}")
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt = {t_final:g} / {dt:g} overflows the step count")
     if not 1 <= n_particles < 2**63:  # the counts are int64
         raise ValueError(f"need 1 <= n_particles < 2**63, got {n_particles}")
     if n_samples < 2:
@@ -226,7 +225,7 @@ def run_particles(
     ens = Ensemble.from_measure(params, p0, L0, M0, n_particles, rng)
     sample_times = np.linspace(0.0, t_final, n_samples).tolist()
 
-    log = ParticleLog(params, p0.window, n_particles, seed)
+    log = ParticleLog(p0.window)
 
     def record():
         log.samples.append(

@@ -37,6 +37,41 @@ def test_every_public_name_has_a_user():
     assert public and not unused, f"exported but unused: {unused}"
 
 
+def _dataclass_fields(path):
+    """(class, field) of every public field of a public @dataclass."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for stmt in cls.body:
+            if (
+                isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and not stmt.target.id.startswith("_")
+            ):
+                yield cls.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a result field that no code reads is dead weight; the scan goes by
+    # name, so a field that shares its name with an attribute read
+    # elsewhere passes unseen
+    package = sorted((ROOT / "src" / "nlwalk").glob("*.py"))
+    sources = [*package, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    read = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [f for path in package for f in _dataclass_fields(path)]
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    assert fields and not unread, f"dataclass fields nothing reads: {unread}"
+
+
 def test_bench_tracer_installs():
     # the benchmark's tracer wraps library functions by attribute; its own
     # tests are slow and run apart, so a renamed or dropped attribute it

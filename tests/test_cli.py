@@ -131,6 +131,13 @@ class TestSimulate:
         cfg = write_config(tmp_path, BASE + "\nturbo = yes\n")
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_abs_tol_is_an_unknown_key(self, tmp_path, capsys):
+        # rel_tol is the one integrator tolerance: p has mass 1
+        text = BASE.replace("n_samples = 11", "n_samples = 11\nabs_tol = 1e-12")
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'abs_tol' in section [integrator]\n"
+
     def test_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -495,6 +502,7 @@ class TestOtherCommands:
             ("dt", "nan"),
             ("t_final", "-1.0"),
             ("t_final", "inf"),
+            ("t_final", "1e308"),  # t_final / dt overflows
             ("n_samples", "0"),
             ("n_samples", "1"),
         ],
@@ -506,7 +514,9 @@ class TestOtherCommands:
         text = BASE + "\n[particles]\n" + lines
         cfg = write_config(tmp_path, text)
         assert main(["particles", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert key in err
 
     def test_diagnose_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -679,12 +689,18 @@ def test_every_command_runs_on_the_readme_config(tmp_path):
         assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
     K0 = 1.3 - 0.4
     assert json.loads((out / "solve_s.json").read_text())["K"] == K0
-    s_star = json.loads((out / "summary.json").read_text())["s_star"]
+    summary = strict_json(out / "summary.json")
     fixed = json.loads((out / "fixed_point.json").read_text())
-    assert fixed["s"] == s_star
+    assert fixed["s"] == summary["s_star"]
     # s* is bisected to float width, so its level is K0 to roundoff
     assert abs(fixed["K"] - K0) <= 1e-15
     assert json.loads((out / "diagnose.json").read_text())["W_violations"] == 0
+    # monitor's certificate: with beta = 1 the contraction condition holds,
+    # so Q has a bound and stays under it
+    assert summary["W_violations"] == 0 and summary["max_violation"] == 0.0
+    assert summary["q_bounded"] is True
+    assert 0.0 < summary["q_max"] <= summary["q_bound"]
+    assert 0.0 <= summary["mean_offset_max"] <= summary["mean_offset_bound"]
 
 
 # the beta profiles and initial measures besides the README's constant and

@@ -195,7 +195,7 @@ class TestIntegrate:
         assert log.final().L == state0.L
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("key", ["dt_init", "rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("key", ["dt_init", "rel_tol"])
     def test_non_finite_config_rejected(self, key, value):
         # an infinite tolerance would accept every step unchecked
         with pytest.raises(ValueError, match="positive and finite"):
@@ -298,7 +298,7 @@ class TestGoldenSamples:
             bench_params, bench_state0, 1.0,
             IntegratorConfig(dt_init=1e-3, n_samples=21),
         )
-        assert _log_digest(log) == "6f1bf6b5d54466ecebd327f2d94049c5e668a73919831c335fb5bda889ca018b"
+        assert _log_digest(log) == "1519bfb9316cb37bc0d1fe0040b4dcb95265f2c45ef92802baa56dee85df8ce8"
 
 
 def _full_window_samples(params, state0, T, config):
@@ -521,12 +521,12 @@ class TestExtrapolatedSplitting:
         for h in (0.02, 0.01):
             one = integrate(
                 bench_params, bench_state0, h,
-                IntegratorConfig(dt_init=h, rel_tol=1.0, abs_tol=1.0, n_samples=2),
+                IntegratorConfig(dt_init=h, rel_tol=1.0, n_samples=2),
             )
             assert (one.steps, one.rejected_steps) == (1, 0)
             ref = integrate(
                 bench_params, bench_state0, h,
-                IntegratorConfig(dt_init=h, rel_tol=1e-13, abs_tol=1e-16, n_samples=2),
+                IntegratorConfig(dt_init=h, rel_tol=1e-13, n_samples=2),
             )
             a, b = one.final(), ref.final()
             errors.append(
@@ -571,7 +571,7 @@ class TestExtrapolatedSplitting:
         with pytest.raises(StepSizeUnderflow):
             integrate(
                 bench_params, bench_state0, 1.0,
-                IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300),
+                IntegratorConfig(rel_tol=1e-300),
             )
 
 

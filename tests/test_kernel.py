@@ -136,7 +136,7 @@ class TestWeightedDistance:
             )
             for j in range(w.size)
         )
-        got = kernel_weighted_distance(Kernel(w, 0.0, 1.0, a), Kernel(w, 0.0, 1.0, b), alpha)
+        got = kernel_weighted_distance(Kernel(w, a), Kernel(w, b), alpha)
         assert got == pytest.approx(expected, rel=1e-13)
 
 

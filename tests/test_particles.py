@@ -255,6 +255,12 @@ class TestStep:
             run_particles(PARAMS, LatticeMeasure.delta(700, w), 700.0, 700.0,
                           10, 0.0, 1e-3, seed=0)
 
+    def test_step_count_past_the_float_range_is_refused(self):
+        # t_final / dt = 1e311 is inf: a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match="overflows the step count"):
+            run_particles(PARAMS, LatticeMeasure.delta(0, Window.symmetric(5)),
+                          0.0, 0.0, 10, 1e308, 1e-3, seed=0)
+
     @pytest.mark.parametrize("L, M", [(685.0, -685.0), (690.0, 0.0), (0.0, -690.0)])
     def test_exponents_in_range_reach_the_guard(self, L, M):
         # inside rate_arrays' rule the huge rates trip StepTooLarge, never
