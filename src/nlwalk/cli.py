@@ -277,9 +277,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     log = annotate(cfg.params, _integrate(cfg))
     report = monitor(log)
     K0 = log.samples[0].K
-    s_star = pi_star = None
+    s_star = pi_star = K_residual = None
     if cfg.params.mean_reverting:
         s_star = solve_s_from_K(cfg.params, K0)
+        K_residual = K_of_s(cfg.params, s_star) - K0
         try:
             pi_star = discrete_gaussian(cfg.params.c, s_star, log.window)
         except NlwalkError:
@@ -293,6 +294,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "K0": K0,
             "K_drift_max": max(abs(s.K - K0) for s in log.samples),
             "s_star": s_star,
+            "K_residual": K_residual,
             "s_final": log.final().s,
             "tv_final": tv_final,
             "W_violations": report.violations,

@@ -5,8 +5,10 @@ Strang step S_h runs the (L, M) half-steps on the exact flow with the
 measure frozen (a scalar linear ODE in exp(-cL) resp. exp(cM)), and the
 measure step on the exact propagator of the frozen birth-death generator
 via the symmetric-tridiagonal eigendecomposition of its detailed-balance
-symmetrization.  S_h is symmetric, so its error has odd powers of h only,
-and (4 S_{h/2}^2 - S_h) / 3 is of order 4; S_{h/2}^2 - S_h estimates the
+symmetrization: LAPACK dstev, called directly (eigh_tridiagonal below),
+and scipy is loaded by the first eigensolve, not on import.  S_h is
+symmetric, so its error has odd powers of h only, and
+(4 S_{h/2}^2 - S_h) / 3 is of order 4; S_{h/2}^2 - S_h estimates the
 error that sets the next step.
 
 All rates come from model.rate_arrays.  The steps use the rates at
@@ -45,9 +47,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import PositivityLost, RateOverflow, StepSizeUnderflow
+from .errors import EigensolveFailed, PositivityLost, RateOverflow, StepSizeUnderflow
 from .lattice import LatticeMeasure, Window
 from .model import EXP_LIMIT, ModelParams, rate_arrays
 
@@ -157,6 +158,25 @@ def conserved_K(state: SystemState) -> float:
     return state.L + state.M + ref + float(np.dot(state.window.sites() - ref, state.p.values))
 
 
+def eigh_tridiagonal(diag, off):
+    """(w, U): the eigenvalues and the orthonormal eigenvectors (columns of
+    U) of the symmetric tridiagonal matrix with diagonal diag and
+    off-diagonal off, by LAPACK dstev (implicit QL/QR), called directly:
+    scipy's eigh_tridiagonal(..., lapack_driver="stev") reaches the same
+    routine with the same arguments after its checks.  scipy is imported
+    on the first call, so that commands which solve no eigenproblem do not
+    load it.  dstev refuses a single site; every band has at least two.
+    """
+    from scipy.linalg.lapack import dstev
+
+    w, U, info = dstev(diag, off, compute_v=1)
+    if info != 0:
+        raise EigensolveFailed(
+            f"tridiagonal eigensolver did not converge (dstev info={info})"
+        )
+    return w, U
+
+
 # ---------------------------------------------------------------------------
 # splitting steps, in coordinates relative to the window centre ref: L, M
 # and the sites n stand for L - ref, M - ref and n - ref, and a_vec, b_vec
@@ -206,15 +226,19 @@ def _pflow(params, a_vec, b_vec, n, p, L, M, h):
     off = np.sqrt(lam[:-1] * mu[1:])
     s_bar = 0.5 * (L + M)
     expo = 0.5 * c * (n - s_bar) ** 2
-    # q = p / sqrt(pi): guard the conjugation against overflow; sites with
-    # a huge weight must carry (essentially) no mass.
+    # q = p / sqrt(pi)
+    if expo.max() <= EXP_LIMIT:
+        w, U = eigh_tridiagonal(diag, off)
+        return (U @ (np.exp(w * h) * (U.T @ (p * np.exp(expo))))) * np.exp(-expo)
+    # guard the conjugation against overflow; sites with a huge weight must
+    # carry (essentially) no mass
     big = expo > EXP_LIMIT
     if big.any() and np.abs(p[big]).max() > 1e-250:
         raise RateOverflow("measure mass too far from (L+M)/2 for the window")
     q = np.zeros_like(p)
     small = ~big
     q[small] = p[small] * np.exp(expo[small])
-    w, U = eigh_tridiagonal(diag, off, lapack_driver="stev", check_finite=False)
+    w, U = eigh_tridiagonal(diag, off)
     r = U @ (np.exp(w * h) * (U.T @ q))
     out = np.zeros_like(p)
     out[small] = r[small] * np.exp(-expo[small])

@@ -12,6 +12,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,14 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: unknown key 'abs_tol' in section [integrator]\n"
+
+    def test_no_fixed_point_no_K_residual(self, tmp_path):
+        # C_lambda != C_mu: there is no s* whose K residual could be taken
+        cfg = write_config(tmp_path, BASE.replace("c_mu = 1.0", "c_mu = 2.0"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = strict_json(out / "summary.json")
+        assert summary["s_star"] is None and summary["K_residual"] is None
 
     def test_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
@@ -692,6 +701,7 @@ def test_every_command_runs_on_the_readme_config(tmp_path):
     summary = strict_json(out / "summary.json")
     fixed = json.loads((out / "fixed_point.json").read_text())
     assert fixed["s"] == summary["s_star"]
+    assert abs(summary["K_residual"]) <= 1e-14 * max(1.0, abs(summary["K0"]))
     # s* is bisected to float width, so its level is K0 to roundoff
     assert abs(fixed["K"] - K0) <= 1e-15
     assert json.loads((out / "diagnose.json").read_text())["W_violations"] == 0
@@ -701,6 +711,43 @@ def test_every_command_runs_on_the_readme_config(tmp_path):
     assert summary["q_bounded"] is True
     assert 0.0 < summary["q_max"] <= summary["q_bound"]
     assert 0.0 <= summary["mean_offset_max"] <= summary["mean_offset_bound"]
+
+
+def test_eigensolver_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a measure step whose LAPACK dstev does not converge is a numerical
+    # failure, not an invalid input
+    import scipy.linalg.lapack
+
+    def unconverged(d, e, compute_v=1):
+        return d.copy(), np.eye(d.size), 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstev", unconverged)
+    cfg = write_config(tmp_path, README_CONFIG, "bench.ini")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "dstev" in lines[0]
+
+
+def test_commands_without_eigensolves_do_not_load_scipy(tmp_path):
+    # importing the CLI loads numpy only; scipy is loaded by integrate's
+    # first eigensolve, which these commands never make (kernel-check and
+    # sample-paths take the README's constant path)
+    cfg = write_config(tmp_path, README_CONFIG, "bench.ini")
+    code = (
+        "import sys; import nlwalk.cli; print('scipy' in sys.modules); "
+        "print([nlwalk.cli.main([c, '--config', sys.argv[1], '--out', sys.argv[2]]) "
+        "for c in ('fixed-point', 'solve-s', 'particles', 'kernel-check', "
+        "'sample-paths')]); "
+        "print('scipy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlwalk.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-2], lines[-1]) == ("False", "[0, 0, 0, 0, 0]", "False")
 
 
 # the beta profiles and initial measures besides the README's constant and

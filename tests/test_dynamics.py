@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from nlwalk import (
     ConstantBeta,
@@ -26,10 +26,18 @@ from nlwalk import (
     solve_s_from_K,
     total_variation,
 )
-from nlwalk.dynamics import MASS_TOL, NEG_TOL, TRUNC_TOL, _band, _splitting_advance
+from nlwalk import dynamics
+from nlwalk.dynamics import (
+    MASS_TOL,
+    NEG_TOL,
+    TRUNC_TOL,
+    _band,
+    _pflow,
+    _splitting_advance,
+)
 from nlwalk.errors import NlwalkError, RateOverflow, StepSizeUnderflow
 from nlwalk.lyapunov import Q_value
-from nlwalk.model import rate_arrays
+from nlwalk.model import EXP_LIMIT, rate_arrays
 
 PROFILES = [ConstantBeta(1.0), TableBeta((0.5, 2.0, 1.5), n_min=-1), LinearDriftBeta()]
 
@@ -326,6 +334,39 @@ def _generator(lam, mu):
     return np.diag(-(lam + mu)) + np.diag(lam[:-1], 1) + np.diag(mu[1:], -1)
 
 
+@st.composite
+def _model_on_window(draw):
+    """(params, window): c in [0.05, 5], any profile, 3-60 sites."""
+    c = draw(st.floats(0.05, 5.0))
+    beta = draw(st.sampled_from(PROFILES))
+    if isinstance(beta, LinearDriftBeta):
+        beta = LinearDriftBeta(slope=beta.slope, c=c)  # must match the model's c
+    window = Window(draw(st.integers(-100, 100)), draw(st.integers(3, 60)))
+    return ModelParams(c=c, beta=beta), window
+
+
+def _draw_run(draw, size):
+    """(start, p): a measure on `size` sites, on a run from `start` whose
+    weights spread over e^-80 .. 1."""
+    logs = draw(st.lists(st.floats(-80.0, 0.0), min_size=1, max_size=size))
+    start = draw(st.integers(0, size - len(logs)))
+    p = np.zeros(size)
+    p[start:start + len(logs)] = np.exp(logs)
+    return start, p / p.sum()
+
+
+@st.composite
+def _band_cases(draw):
+    """(params, window, p, L, M, dt), p on a run of sites that the band
+    may cut."""
+    params, window = draw(_model_on_window())
+    _, p = _draw_run(draw, window.size)
+    centre = window.n_min + 0.5 * (window.size - 1)
+    L = centre + draw(st.floats(-10.0, 10.0))
+    M = centre + draw(st.floats(-10.0, 10.0))
+    return params, window, p, L, M, draw(st.floats(1e-4, 2.0))
+
+
 class TestBand:
     """Each sample interval's steps run on a band of sites with killing
     edges; the band's truncation bound is computed, not guessed."""
@@ -448,6 +489,106 @@ class TestBand:
         lam, mu = rate_arrays(params, L + dt, M - dt, w)
         q = p @ expm(dt * _generator(lam, mu))
         assert 0.3 * bound <= q[hi:].sum() <= bound
+
+    @given(case=_band_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_band_invariants(self, case):
+        params, window, p, L, M, dt = case
+        ref = 0.5 * (window.n_min + window.n_max)
+        a_vec, b_vec = rate_arrays(params, ref, ref, window)
+        lo, hi, bound = _band(
+            params, a_vec.tolist(), b_vec.tolist(), p, L - ref, M - ref, dt
+        )
+        # the eigensolver (LAPACK dstev) refuses a 1-site band
+        assert 0 <= lo and hi <= window.size and hi - lo >= 2
+        assert 0.0 <= bound <= TRUNC_TOL
+        # the sites off the band are dropped sites, counted in the bound
+        assert math.fsum(p[:lo]) + math.fsum(p[hi:]) <= bound * (1 + 1e-12)
+
+
+def _scipy_pflow(params, a_vec, b_vec, n, p, L, M, h):
+    """The measure step on scipy's eigh_tridiagonal wrapper, with the
+    conjugation masked on every call: the route _pflow must match bit for
+    bit."""
+    c = params.c
+    up, down = math.exp(c * L), math.exp(-c * M)
+    if math.isinf(float(a_vec.max()) * up) or math.isinf(float(b_vec.max()) * down):
+        raise RateOverflow("jump rates overflowed on the window")
+    lam = a_vec * up
+    mu = b_vec * down
+    diag = -(lam + mu)
+    off = np.sqrt(lam[:-1] * mu[1:])
+    s_bar = 0.5 * (L + M)
+    expo = 0.5 * c * (n - s_bar) ** 2
+    big = expo > EXP_LIMIT
+    if big.any() and np.abs(p[big]).max() > 1e-250:
+        raise RateOverflow("measure mass too far from (L+M)/2 for the window")
+    q = np.zeros_like(p)
+    small = ~big
+    q[small] = p[small] * np.exp(expo[small])
+    w, U = eigh_tridiagonal(diag, off, lapack_driver="stev", check_finite=False)
+    r = U @ (np.exp(w * h) * (U.T @ q))
+    out = np.zeros_like(p)
+    out[small] = r[small] * np.exp(-expo[small])
+    return out
+
+
+@st.composite
+def _measure_steps(draw):
+    """_pflow's arguments on a band [lo, hi) of 2-60 sites of a window, in
+    coordinates from the window centre.  p sits on a run of sites, and
+    (L + M) / 2 up to 1.5 sqrt(2 EXP_LIMIT / c) from the run's start, so
+    that sites weighing above exp(EXP_LIMIT) occur both off the run and
+    on it (a refusal)."""
+    params, window = draw(_model_on_window())
+    c, size = params.c, window.size
+    ref = window.n_min + 0.5 * (size - 1)
+    a_vec, b_vec = rate_arrays(params, ref, ref, window)
+    n = window.sites() - ref
+    lo = draw(st.integers(0, size - 2))
+    hi = draw(st.integers(lo + 2, size))
+    start, p = _draw_run(draw, hi - lo)
+    reach = 1.5 * math.sqrt(2.0 * EXP_LIMIT / c)
+    s = n[lo + start] + draw(st.floats(-reach, reach))
+    d = draw(st.floats(-8.0, 8.0)) / c
+    return (params, a_vec[lo:hi], b_vec[lo:hi], n[lo:hi], p, s + d, s - d,
+            draw(st.floats(1e-6, 2.0)))
+
+
+class TestMeasureStep:
+    """The measure step calls LAPACK dstev directly and conjugates without
+    masks when no site weighs above exp(EXP_LIMIT); neither may move a
+    bit."""
+
+    @given(args=_measure_steps())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_scipy_route(self, args):
+        results = []
+        for step in (_pflow, _scipy_pflow):
+            try:
+                results.append(step(*args))
+            except RateOverflow as e:
+                results.append(str(e))
+        new, old = results
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert isinstance(new, np.ndarray) and np.array_equal(new, old)
+
+    def test_readme_run_counts(self, bench_params, bench_state0, monkeypatch):
+        # bench/tracer.py counts eigensolves at dynamics.eigh_tridiagonal:
+        # one per Strang step, three per extrapolated step
+        calls = []
+        solve = dynamics.eigh_tridiagonal
+
+        def counted(diag, off):
+            calls.append(diag.size)
+            return solve(diag, off)
+
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", counted)
+        log = integrate(bench_params, bench_state0, 20.0, IntegratorConfig())
+        assert (log.steps, log.rejected_steps) == (410, 0)
+        assert len(calls) == 1230 and min(calls) >= 2
 
 
 class TestSplittingWindowLimit:
