@@ -48,7 +48,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import EigensolveFailed, PositivityLost, RateOverflow, StepSizeUnderflow
+from .errors import NumericalError, PositivityLost, RateOverflow, StepSizeUnderflow
 from .lattice import LatticeMeasure, Window
 from .model import EXP_LIMIT, ModelParams, rate_arrays
 
@@ -171,7 +171,7 @@ def eigh_tridiagonal(diag, off):
 
     w, U, info = dstev(diag, off, compute_v=1)
     if info != 0:
-        raise EigensolveFailed(
+        raise NumericalError(
             f"tridiagonal eigensolver did not converge (dstev info={info})"
         )
     return w, U
@@ -226,22 +226,21 @@ def _pflow(params, a_vec, b_vec, n, p, L, M, h):
     off = np.sqrt(lam[:-1] * mu[1:])
     s_bar = 0.5 * (L + M)
     expo = 0.5 * c * (n - s_bar) ** 2
-    # q = p / sqrt(pi)
-    if expo.max() <= EXP_LIMIT:
-        w, U = eigh_tridiagonal(diag, off)
-        return (U @ (np.exp(w * h) * (U.T @ (p * np.exp(expo))))) * np.exp(-expo)
-    # guard the conjugation against overflow; sites with a huge weight must
-    # carry (essentially) no mass
+    # guard the conjugation against overflow: sites with a huge weight must
+    # carry (essentially) no mass; they enter it with p = expo = 0 and
+    # read 0 after it
     big = expo > EXP_LIMIT
-    if big.any() and np.abs(p[big]).max() > 1e-250:
-        raise RateOverflow("measure mass too far from (L+M)/2 for the window")
-    q = np.zeros_like(p)
-    small = ~big
-    q[small] = p[small] * np.exp(expo[small])
+    far = big.any()
+    if far:
+        if np.abs(p[big]).max() > 1e-250:
+            raise RateOverflow("measure mass too far from (L+M)/2 for the window")
+        p = np.where(big, 0.0, p)
+        expo = np.where(big, 0.0, expo)
     w, U = eigh_tridiagonal(diag, off)
-    r = U @ (np.exp(w * h) * (U.T @ q))
-    out = np.zeros_like(p)
-    out[small] = r[small] * np.exp(-expo[small])
+    # q = p / sqrt(pi)
+    out = (U @ (np.exp(w * h) * (U.T @ (p * np.exp(expo))))) * np.exp(-expo)
+    if far:
+        out[big] = 0.0
     return out
 
 

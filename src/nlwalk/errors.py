@@ -50,10 +50,6 @@ class StepSizeUnderflow(NumericalError):
     """The integrator could not proceed at a stable/accurate step size."""
 
 
-class EigensolveFailed(NumericalError):
-    """The tridiagonal eigensolver of a measure step did not converge."""
-
-
 class PositivityLost(NumericalError):
     """The integrated measure developed negative mass beyond tolerance."""
 

@@ -701,7 +701,7 @@ def test_every_command_runs_on_the_readme_config(tmp_path):
     summary = strict_json(out / "summary.json")
     fixed = json.loads((out / "fixed_point.json").read_text())
     assert fixed["s"] == summary["s_star"]
-    assert abs(summary["K_residual"]) <= 1e-14 * max(1.0, abs(summary["K0"]))
+    assert summary["K0"] == K0 and summary["K_residual"] == fixed["K"] - K0
     # s* is bisected to float width, so its level is K0 to roundoff
     assert abs(fixed["K"] - K0) <= 1e-15
     assert json.loads((out / "diagnose.json").read_text())["W_violations"] == 0

@@ -556,9 +556,9 @@ def _measure_steps(draw):
 
 
 class TestMeasureStep:
-    """The measure step calls LAPACK dstev directly and conjugates without
-    masks when no site weighs above exp(EXP_LIMIT); neither may move a
-    bit."""
+    """The measure step calls LAPACK dstev directly and conjugates in one
+    expression, with the sites weighing above exp(EXP_LIMIT) zeroed in and
+    out of it; neither may move a bit."""
 
     @given(args=_measure_steps())
     @settings(max_examples=300, deadline=None)
@@ -574,6 +574,21 @@ class TestMeasureStep:
             assert new == old
         else:
             assert isinstance(new, np.ndarray) and np.array_equal(new, old)
+
+    def test_sites_above_the_weight_limit_read_zero(self):
+        # (L + M) / 2 = -50.2 at c = 0.535: the sites n >= 1 weigh above
+        # exp(EXP_LIMIT) and hold no mass, but the conjugated step reaches
+        # them (up to 9e16 at n = 1); they must read exactly 0 after it
+        params = ModelParams(c=0.5348627120403312)
+        a_vec, b_vec = rate_arrays(params, 0.0, 0.0, Window(-13, 27))
+        n = np.arange(-13.0, 8.0)
+        p = np.zeros(21)
+        p[2] = 1.0
+        args = (params, a_vec[:21], b_vec[:21], n, p,
+                -37.158300425235865, -63.23012109637199, 1.5295797097075203)
+        out = _pflow(*args)
+        assert np.array_equal(out, _scipy_pflow(*args))
+        assert np.all(out[n >= 1] == 0.0) and out[n < 1].sum() > 0.99
 
     def test_readme_run_counts(self, bench_params, bench_state0, monkeypatch):
         # bench/tracer.py counts eigensolves at dynamics.eigh_tridiagonal:
