@@ -453,7 +453,7 @@ def cmd_particles(cfg: RunConfig, args) -> int:
         {"n": n, "dt": dt, "t_final": T, "seed": seed,
          "L_final": fin.L, "M_final": fin.M, "K_N_final": fin.K_N,
          "steps": log.steps, "max_rate_dt": log.max_rate_dt,
-         "band_max": log.band_max},
+         "band_max": log.band_max, "jumps": log.jumps},
         cfg,
     )
     print(f"particles: N={n} L(T)={fin.L:g} M(T)={fin.M:g}")

@@ -438,13 +438,20 @@ def write_kernel_csv(kernel: Kernel, fh: IO[str]) -> None:
 
 def write_paths_csv(paths: np.ndarray, sample_times: Sequence[float], fh: IO[str]) -> None:
     """One row per (path, sample time), as csv.writer writes them: no field
-    needs quoting, and rows end in CRLF.  Written PATH_CHUNK paths at a
-    time, so the text in memory stays small."""
-    ts = [repr(float(t)) for t in sample_times]
+    needs quoting, and rows end in CRLF.  Each row is its path id and one
+    ",t,n\r\n" tail built once per (sample time, site), the sites spanning
+    the array's least to greatest.  Written PATH_CHUNK paths at a time, so
+    the text in memory stays small."""
     fh.write("path_id,t,n\r\n")
+    if not paths.size:
+        return
+    lo = int(paths.min())
+    sites = range(lo, int(paths.max()) + 1)
+    tails = [[f",{float(t)!r},{n}\r\n" for n in sites] for t in sample_times]
     for i0 in range(0, len(paths), PATH_CHUNK):
+        block = (paths[i0:i0 + PATH_CHUNK] - lo).tolist()
         fh.write("".join(
-            f"{i},{t},{n}\r\n"
-            for i, row in enumerate(paths[i0:i0 + PATH_CHUNK].tolist(), i0)
-            for t, n in zip(ts, row)
+            path_id + tail[j]
+            for path_id, row in zip(map(str, range(i0, i0 + len(block))), block)
+            for tail, j in zip(tails, row)
         ))

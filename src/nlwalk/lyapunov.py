@@ -1,8 +1,27 @@
 """Convergence certificates: Q, relative entropy H, the Lyapunov
-function W = H + 2Ks - 3s^2, and trajectory monitoring.
+function W = H + c(2Ks - 3s^2), and trajectory monitoring.
 
-The monotonicity of W is proved at c = 1 only; for other c the values
-are still computed but no claim is certified.
+W is nonincreasing at every c > 0 and every beta while K is conserved
+(C_lambda = C_mu).  With s = (L + M)/2 and the probability current
+J_n = lambda_n p_n - mu_{n+1} p_{n+1} across the bond (n, n+1), the rates
+satisfy lambda_n / mu_{n+1} = e^{c(L + M - 2n - 1)}, so
+ln(lambda_n / mu_{n+1}) = c(2s - 2n - 1) = c[(s - n)^2 - (s - n - 1)^2].
+Since dp_n/dt = J_{n-1} - J_n and the p_n sum to 1,
+
+    dH/dt = sum_n J_n ln(p_{n+1} / p_n) + c sum_n J_n [(s - n - 1)^2 - (s - n)^2]
+            + 2c s' sum_n p_n (s - n)
+          = -sigma + 2c s' (s - mean),
+    sigma = sum_n J_n ln(lambda_n p_n / (mu_{n+1} p_{n+1})) >= 0,
+
+each term of sigma being (a - b) ln(a / b) >= 0.  On the window the end
+bonds carry no current (lambda is 0 at the right edge, mu at the left),
+so the sum by parts has no boundary term.  With K = L + M + mean
+conserved, mean = K - 2s, so 2c s' (s - mean) = 2c s' (3s - K)
+= -c d/dt (2Ks - 3s^2), and
+
+    dW/dt = -sigma <= 0.
+
+At c = 1 this W is the H + 2Ks - 3s^2 of the paper's proof.
 """
 
 from __future__ import annotations
@@ -65,9 +84,10 @@ def entropy_H(p: LatticeMeasure, s: float, c: float) -> float:
 
 
 def W_value(state: SystemState, K: float, c: float = 1.0) -> float:
-    """W = H + 2Ks - 3s^2 (the proof setting is c = 1)."""
+    """W = H + c(2Ks - 3s^2), summed as (H + 2Ks*c) - 3s^2*c, so that
+    c = 1 gives the bits of H + 2Ks - 3s^2."""
     s = state.s
-    return entropy_H(state.p, s, c) + 2.0 * K * s - 3.0 * s * s
+    return entropy_H(state.p, s, c) + 2.0 * K * s * c - 3.0 * s * s * c
 
 
 def annotate(params: ModelParams, log: TrajectoryLog) -> TrajectoryLog:

@@ -7,24 +7,34 @@ step.  The empirical mean position plus L + M is tracked as an invariant
 check, mirroring the conserved quantity of the deterministic system.
 
 The walkers interact only through their empirical law, so the ensemble is
-held and stepped as occupation numbers: walkers per window site.  A step
-draws one multinomial (up, down, stay) per site of the occupied band
-[lo, hi), the sites from the first to the last occupied one, with
-probabilities (lambda*dt, mu*dt, rest).  Summed per site, independent
-per-walker thinning is exactly this multinomial, so the chain has the same
-law as stepping each walker on its own, at a cost that grows with the
-band rather than with N.  An empty site inside the band draws nothing, so
-the random stream is the one a draw over the occupied sites alone uses.
+held and stepped as occupation numbers: walkers per window site.  Summed
+per site, independent per-walker thinning is one (up, down, stay)
+multinomial with probabilities (lambda*dt, mu*dt, rest).  A step draws it
+at each occupied site of the band [lo, hi), the sites from the first to
+the last occupied one, as a binomial pair: up ~ Bin(k, lambda*dt), then
+down ~ Bin(k - up, mu*dt / (1 - lambda*dt)), which has exactly that law.
+So the chain has the law of stepping each walker on its own, at a cost
+that grows with the band rather than with N.
 
-A step's fixed cost is that one multinomial call.  Everything else runs
-on Python scalars over the band: one loop fills the (up, down, stay) rows
-and takes the guard's maximum and the walker sums of lambda*dt and mu*dt
-for the barrier update, in site order; a second loop adds the moves back
-into counts on [lo - 1, hi + 1), whose first and last nonzero sites are
-the next step's band.  So the rest of the cost is O(band), and the guard
-bounds the band: (lambda + mu)*dt <= 0.1 on every occupied site keeps,
-for constant beta = b, the band within (M - L) + 2 ln(0.1/(b dt))/c + 1
-sites.
+Each binomial inverts its CDF at one uniform, summing the pmf upward
+from 0, so the loop runs 1 + X times; a step takes its uniforms as one
+block, a pair per band site (an empty site leaves its pair unused).
+Where k*p > 30, the mean is large enough that numpy's own switch from
+inversion to BTPE applies, and the site calls rng.binomial instead
+(README dt = 1e-3 reaches it on the first step from delta_0, and so does
+a large N).  This replaced one rng.multinomial call per step, whose
+per-call checks cost more than its sampling at a handful of sites; the
+random stream changed with it, the law did not.
+
+A step is one loop over the band on Python scalars, in site order: it
+checks the guard at each occupied site before that site draws, adds the
+walker sums of lambda*dt and mu*dt for the barrier update, and adds the
+site's moves into the new counts on [lo - 1, hi + 1), whose first and
+last nonzero sites are the next step's band.  (L, M), the counts and t
+change only once the loop has finished, so a StepTooLarge leaves the
+ensemble as it was.  The guard bounds the band: (lambda + mu)*dt <= 0.1
+on every occupied site keeps, for constant beta = b, the band within
+(M - L) + 2 ln(0.1/(b dt))/c + 1 sites.
 
 The rates depend on (L, M) only through e^{cL} and e^{-cM}.  Each ensemble
 takes one rate_arrays table at the window centre (L = M = 0 on a symmetric
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,7 +58,42 @@ from .lattice import LatticeMeasure, Window
 from .model import ModelParams, check_rate_exponents, rate_arrays
 
 RATE_DT_LIMIT = 0.1
-_EMPTY_ROW = (0.0, 0.0, 1.0)  # (up, down, stay) of an empty site
+# above this mean a binomial is drawn by numpy's BTPE rather than by
+# inversion, numpy's own switch between the two
+_INVERSION_MAX_MEAN = 30.0
+
+
+def _binomial(k: int, p: float, u: float, rng: np.random.Generator) -> int:
+    """Bin(k, p) at the uniform u, 0 <= p < 1: the least x with
+    u <= P(X <= x), the pmf summed upward from 0.  An x whose pmf is 0 in
+    floats (x > k, or u in the rounding gap below 1 that the summed pmf
+    leaves) starts over at a fresh uniform.  For kp > _INVERSION_MAX_MEAN
+    it is rng.binomial."""
+    if k * p > _INVERSION_MAX_MEAN:
+        return int(rng.binomial(k, p))
+    f0 = f = math.exp(k * math.log1p(-p))  # P(X = 0); (1 - p)**k loses p < 2**-53
+    if u <= f:
+        return 0
+    ratio = p / (1.0 - p)
+    x = 0
+    while u > f:
+        u -= f
+        x += 1
+        f *= ratio * (k - x + 1) / x
+        if not f:
+            u, f, x = rng.random(), f0, 0
+    return x
+
+
+def _site_moves(
+    k: int, up: float, down: float, u_up: float, u_down: float, rng: np.random.Generator
+) -> Tuple[int, int]:
+    """(up-moves, down-moves) of k walkers at one site with jump
+    probabilities up and down, up + down <= RATE_DT_LIMIT: the (up, down,
+    stay) multinomial as up ~ Bin(k, up), then down ~ Bin(k - up,
+    down / (1 - up)), each drawn by _binomial at its own uniform."""
+    n_up = _binomial(k, up, u_up, rng)
+    return n_up, _binomial(k - n_up, down / (1.0 - up), u_down, rng)
 
 
 @dataclass
@@ -67,6 +112,7 @@ class ParticleLog:
     steps: int = 0
     max_rate_dt: float = 0.0  # largest occupied-site (lambda+mu)*dt of the run
     band_max: int = 0  # widest occupied band a step drew over (0: no step)
+    jumps: int = 0  # walker moves of the run, up and down
 
     def final(self) -> ParticleSample:
         return self.samples[-1]
@@ -86,6 +132,7 @@ class Ensemble:
     t: float = 0.0
     max_rate_dt: float = field(default=0.0, init=False)  # occupied sites, all steps
     band_max: int = field(default=0, init=False)  # widest band a step drew over
+    jumps: int = field(default=0, init=False)  # walker moves, all steps
     _n: int = field(init=False, repr=False)
     _ref: float = field(init=False, repr=False)
     _lam0: List[float] = field(init=False, repr=False)
@@ -134,47 +181,19 @@ class Ensemble:
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
         """One first-order step: Euler (L, M) update from pre-jump empirical
-        rates, then synchronous thinning of all walkers, drawn per site of
-        the occupied band as one multinomial over (up, down, stay)."""
+        rates, then synchronous thinning of all walkers, drawn per occupied
+        site of the band as an (up, down) binomial pair."""
         if dt == 0.0:
             return
         params = self.params
         L, M = self.L, self.M
         check_rate_exponents(params, L, M, self.window)
         lo, hi = self._lo, self._hi
-        n = self.counts[lo:hi]
         up_scale = math.exp(params.c * (L - self._ref)) * dt
         down_scale = math.exp(params.c * (self._ref - M)) * dt
-        # first-order thinning needs (lam+mu)*dt small at every *occupied*
-        # site.  Empty sites inside the band draw nothing; their rows are
-        # zero so that a rate spike there cannot invalidate them
-        probs = []  # (up, down, stay) per band site, flattened
-        max_rate_dt = 0.0
-        up_dt = down_dt = 0.0  # walker sums of lam*dt and mu*dt, in site order
-        for k, lam, mu in zip(n.tolist(), self._lam0[lo:hi], self._mu0[lo:hi]):
-            if k:
-                up = lam * up_scale
-                down = mu * down_scale
-                total = up + down
-                if total > max_rate_dt:
-                    max_rate_dt = total
-                up_dt += k * up
-                down_dt += k * down
-                probs += (up, down, 1.0 - total)
-            else:
-                probs += _EMPTY_ROW
-        if max_rate_dt > RATE_DT_LIMIT:
-            raise StepTooLarge(
-                f"max rate * dt = {max_rate_dt:g} > {RATE_DT_LIMIT:g}; shrink dt"
-            )
-        if max_rate_dt > self.max_rate_dt:
-            self.max_rate_dt = max_rate_dt
-        if hi - lo > self.band_max:
-            self.band_max = hi - lo
-        self.L += dt * params.C_lambda - up_dt / self._n
-        self.M += down_dt / self._n - dt * params.C_mu
-        pvals = np.fromiter(probs, np.float64, len(probs)).reshape(hi - lo, 3)
-        moves = rng.multinomial(n, pvals).tolist()
+        # one (up, down) pair of uniforms per band site, taken in turn from
+        # one block; empty sites leave theirs unused
+        uniforms = iter(rng.random(2 * (hi - lo)).tolist())
         # a site's new count is its stayers plus the up-moves from below and
         # the down-moves from above.  lam is zero at the right edge and mu at
         # the left, so no walker leaves the window: the new counts lie on
@@ -183,13 +202,45 @@ class Ensemble:
         left = max(lo - 1, 0)
         new = [0] * (min(hi + 1, self.counts.size) - left)
         j = lo - left
-        for up, down, stay in moves:
-            new[j] += stay
-            if up:
-                new[j + 1] += up
-            if down:
-                new[j - 1] += down
+        max_rate_dt = 0.0
+        up_dt = down_dt = 0.0  # walker sums of lam*dt and mu*dt, in site order
+        jumps = 0
+        # first-order thinning needs (lam+mu)*dt small at every *occupied*
+        # site, checked before the site draws.  Empty sites inside the band
+        # draw nothing, so a rate spike there cannot trip the guard
+        for k, lam, mu, u_up, u_down in zip(
+            self.counts[lo:hi].tolist(), self._lam0[lo:hi], self._mu0[lo:hi],
+            uniforms, uniforms,
+        ):
+            if k:
+                up = lam * up_scale
+                down = mu * down_scale
+                total = up + down
+                if total > max_rate_dt:
+                    if total > RATE_DT_LIMIT:
+                        raise StepTooLarge(
+                            f"rate * dt = {total:g} > {RATE_DT_LIMIT:g} at site "
+                            f"{self.window.n_min + left + j}; shrink dt"
+                        )
+                    max_rate_dt = total
+                up_dt += k * up
+                down_dt += k * down
+                n_up, n_down = _site_moves(k, up, down, u_up, u_down, rng)
+                new[j] += k - n_up - n_down
+                if n_up:
+                    new[j + 1] += n_up
+                    jumps += n_up
+                if n_down:
+                    new[j - 1] += n_down
+                    jumps += n_down
             j += 1
+        if max_rate_dt > self.max_rate_dt:
+            self.max_rate_dt = max_rate_dt
+        if hi - lo > self.band_max:
+            self.band_max = hi - lo
+        self.jumps += jumps
+        self.L += dt * params.C_lambda - up_dt / self._n
+        self.M += down_dt / self._n - dt * params.C_mu
         self.counts[left : left + len(new)] = new
         first, last = 0, len(new) - 1
         while not new[first]:
@@ -245,4 +296,5 @@ def run_particles(
         record()
         next_i += 1
     log.steps, log.max_rate_dt, log.band_max = n_steps, ens.max_rate_dt, ens.band_max
+    log.jumps = ens.jumps
     return log

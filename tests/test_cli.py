@@ -490,6 +490,8 @@ class TestOtherCommands:
         # the start alone has (lambda_0 + mu_0) dt = (e^1.3 + e^0.4) * 1e-3
         assert 5.1e-3 < payload["max_rate_dt"] <= 0.1
         assert 1 <= payload["band_max"] <= 25
+        # 200 walkers at about (e^1.3 + e^0.4) * 1e-3 moves per step each
+        assert 0 < payload["jumps"] < 200 * 500
         assert (out / "particles.csv").exists()
 
     def test_particles_rate_overflow(self, tmp_path, capsys):

@@ -457,6 +457,24 @@ class TestSamplePaths:
         write_paths_csv(walks, np.array(times), got)
         assert got.getvalue() == expected.getvalue()
 
+    @pytest.mark.parametrize("n_paths, lo, hi", [
+        (1, 0, 1), (PATH_CHUNK + 3, -40, -30), (500, -3, 4), (0, 0, 1),
+    ])
+    def test_paths_csv_as_csv_writer_on_random_sites(self, n_paths, lo, hi):
+        # every site negative, or around 0, or a single site; random times
+        r = np.random.default_rng(n_paths)
+        times = np.sort(r.random(4)).tolist()
+        walks = r.integers(lo, hi, size=(n_paths, len(times)))
+        expected = io.StringIO()
+        w = csv.writer(expected)
+        w.writerow(["path_id", "t", "n"])
+        for i, row in enumerate(walks):
+            for t, n in zip(times, row):
+                w.writerow([i, repr(float(t)), int(n)])
+        got = io.StringIO()
+        write_paths_csv(walks, times, got)
+        assert got.getvalue() == expected.getvalue()
+
     def test_marginal_matches_dynamics(self):
         w = Window.symmetric(12)
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)

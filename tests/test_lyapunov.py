@@ -129,6 +129,17 @@ class TestW:
         state = SystemState(p=fp.pi, L=fp.L_s, M=fp.M_s)
         assert W_value(state, K=0.0) == pytest.approx(-LN_XI, rel=1e-12)
 
+    def test_unit_c_keeps_the_bits_of_the_c1_formula(self):
+        w = Window.symmetric(8)
+        r = np.random.default_rng(3)
+        for _ in range(20):
+            state = SystemState(
+                p=LatticeMeasure.normalized(w, r.random(w.size)),
+                L=r.uniform(-2, 2), M=r.uniform(-2, 2),
+            )
+            K, s = r.uniform(-3, 3), state.s
+            assert W_value(state, K) == entropy_H(state.p, s, 1.0) + 2.0 * K * s - 3.0 * s * s
+
     def test_certified_requires_unit_c(self):
         state = SystemState(p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0, M=0)
         assert math.isfinite(W_value(state, K=0.0, c=2.0))
@@ -143,6 +154,40 @@ def short_log(bench_params, bench_state0):
         IntegratorConfig(dt_init=1e-3, n_samples=31),
     )
     return annotate(bench_params, log)
+
+
+def _W_rises(c, beta, n0, L0, M0):
+    """(rises of W_c, rises of H + 2Ks - 3s^2) along an integrate run of
+    T = 8 with 161 samples, K taken at t = 0."""
+    w = Window.symmetric(25)
+    params = ModelParams(c=c, beta=ConstantBeta(beta))
+    state0 = SystemState(p=LatticeMeasure.delta(n0, w), L=L0, M=M0)
+    log = annotate(params, integrate(params, state0, 8.0, IntegratorConfig(n_samples=161)))
+    K0 = log.samples[0].K
+    unscaled = [
+        entropy_H(smp.state.p, smp.state.s, c) + 2.0 * K0 * smp.state.s - 3.0 * smp.state.s ** 2
+        for smp in log.samples
+    ]
+    return monitor(log).violations, W_increases(unscaled)[0]
+
+
+class TestWAtEveryC:
+    """W_c = H + c(2Ks - 3s^2) falls at every c (dW_c/dt = -sigma, see
+    nlwalk.lyapunov); H + 2Ks - 3s^2 does not away from c = 1."""
+
+    def test_unscaled_W_rises_where_W_c_does_not(self):
+        # about 100 of the 160 sample steps of the unscaled W rise here
+        w_c_rises, unscaled_rises = _W_rises(0.3, 1.0, -3, -2.78, -0.03)
+        assert w_c_rises == 0 and unscaled_rises > 50
+
+    @pytest.mark.parametrize("c", [0.1, 0.3, 2.0, 4.0])
+    def test_no_W_c_violations(self, c):
+        r = np.random.default_rng(int(10 * c))
+        for _ in range(2):
+            beta = float(r.choice([0.5, 1.0, 2.0]))
+            n0 = int(r.integers(-4, 5))
+            L0, M0 = r.uniform(-3, 3, size=2).tolist()
+            assert _W_rises(c, beta, n0, L0, M0)[0] == 0
 
 
 class TestMonitor:

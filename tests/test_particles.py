@@ -18,7 +18,7 @@ from nlwalk import (
 )
 from nlwalk.errors import RateOverflow, StepTooLarge
 from nlwalk.model import check_rate_exponents, rate_arrays
-from nlwalk.particles import RATE_DT_LIMIT
+from nlwalk.particles import RATE_DT_LIMIT, _binomial, _site_moves
 
 PARAMS = ModelParams()
 
@@ -50,11 +50,13 @@ def per_walker_step(params, window, positions, L, M, dt, rng):
 
 
 class BandStepReference:
-    """Reference: the vectorized band step that Ensemble.step replaced, on
-    numpy arrays over the band found by np.flatnonzero each step.  Its
+    """Reference: the band step on numpy arrays, with the band found by
+    np.flatnonzero each step, the guard taken over the whole band before
+    any site draws, and the new counts added up with array slices.  Its
     walker sums run in site order (np.cumsum), the order of the scalar
     step; `n @ probs` goes through BLAS, whose fused and blocked sums can
-    differ in the last bit."""
+    differ in the last bit.  Each occupied site draws its moves through
+    the private site sampler, at its pair of the step's uniform block."""
 
     def __init__(self, params, window, counts, L, M):
         self.params, self.window = params, window
@@ -70,6 +72,7 @@ class BandStepReference:
         occ = np.flatnonzero(self.counts)
         lo, hi = int(occ[0]), int(occ[-1]) + 1
         n = self.counts[lo:hi]
+        uniforms = rng.random((hi - lo, 2))
         probs = np.empty((hi - lo, 3))
         probs[:, 0] = self.lam0[lo:hi] * (math.exp(params.c * (self.L - self.ref)) * dt)
         probs[:, 1] = self.mu0[lo:hi] * (math.exp(params.c * (self.ref - self.M)) * dt)
@@ -82,9 +85,11 @@ class BandStepReference:
         up_dt, down_dt, _ = np.cumsum(n[:, None] * probs, axis=0)[-1].tolist()
         self.L += dt * params.C_lambda - up_dt / self.n
         self.M += down_dt / self.n - dt * params.C_mu
-        probs[:, 2] = 1.0 - probs[:, 2]
-        moves = rng.multinomial(n, probs)
-        self.counts[lo:hi] = moves[:, 2]
+        moves = np.zeros((hi - lo, 2), dtype=np.int64)
+        for i in np.flatnonzero(n):
+            up, down = probs[i, :2].tolist()
+            moves[i] = _site_moves(int(n[i]), up, down, *uniforms[i].tolist(), rng)
+        self.counts[lo:hi] -= moves.sum(axis=1)
         right = min(hi + 1, self.counts.size)
         self.counts[lo + 1 : right] += moves[: right - lo - 1, 0]
         left = max(lo - 1, 0)
@@ -137,6 +142,28 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             ens.step(1.0, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("L, M, error", [
+        (-10.0, -3.0, StepTooLarge),
+        (695.0, 0.0, RateOverflow),
+    ])
+    def test_refused_step_leaves_the_ensemble_as_it_was(self, L, M, error):
+        # the walkers spread over [-4, 4] first; at (L, M) = (-10, -3) the
+        # rates grow to the right, so the guard trips at a right-hand site
+        # after the sites left of it have drawn
+        w = Window.symmetric(10)
+        start = np.zeros(w.size, dtype=int)
+        start[w.index(-3) : w.index(4)] = 500
+        ens = Ensemble(PARAMS, w, start, 0.0, 0.0)
+        ens.step(1e-3, np.random.default_rng(0))
+        ens.L, ens.M = L, M
+        before = (ens.counts.copy(), ens.L, ens.M, ens.t, ens.max_rate_dt,
+                  ens.band_max, ens.jumps, ens._lo, ens._hi)
+        with pytest.raises(error, match="at site [1-9]" if error is StepTooLarge else ""):
+            ens.step(1e-3, np.random.default_rng(1))
+        after = (ens.counts, ens.L, ens.M, ens.t, ens.max_rate_dt,
+                 ens.band_max, ens.jumps, ens._lo, ens._hi)
+        assert np.array_equal(before[0], after[0]) and before[1:] == after[1:]
+
     def test_single_particle_jump_probabilities(self):
         # at L = M = 0 with the particle at 0 both jump probabilities are dt
         w = Window.symmetric(5)
@@ -186,6 +213,8 @@ class TestStep:
         if L_ref is None:
             with pytest.raises(StepTooLarge):
                 ens.step(dt, np.random.default_rng(0))
+            assert np.array_equal(ens.counts, counts)
+            assert (ens.L, ens.M, ens.t, ens.jumps) == (L, M, 0.0, 0)
             return
         ens.step(dt, np.random.default_rng(0))
         assert math.isclose(ens.L, L_ref, rel_tol=1e-12, abs_tol=1e-15)
@@ -227,6 +256,38 @@ class TestStep:
             occ = np.flatnonzero(ens.counts)
             assert (ens._lo, ens._hi) == (occ[0], occ[-1] + 1)
             assert ens.band_max <= w.size
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_sites_match_band_reference_bitwise(self, seed):
+        # k * p runs from below 1 to about 60 over the band, so sites draw
+        # by inversion and by rng.binomial in one step, as in
+        # README's first steps
+        w = Window.symmetric(12)
+        counts = np.zeros(w.size, dtype=np.int64)
+        counts[w.index(-2) : w.index(3)] = (300, 4000, 30_000, 4000, 300)
+        ens = Ensemble(PARAMS, w, counts, 1.3, -0.4)
+        ref = BandStepReference(PARAMS, w, counts, 1.3, -0.4)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            ens.step(1e-3, rng)
+            ref.step(1e-3, rng_ref)
+            assert np.array_equal(ens.counts, ref.counts)
+            assert (ens.L, ens.M, ens.t) == (ref.L, ref.M, ref.t)
+            assert ens.max_rate_dt == ref.max_rate_dt
+
+    def test_jumps_are_the_arrivals(self):
+        # sites 3 apart: after one step every walker on a site next to a
+        # start site has arrived by one move
+        w = Window.symmetric(10)
+        start = np.zeros(w.size, dtype=int)
+        sites = (-3, 0, 3)
+        for n, k in zip(sites, (2000, 5000, 2000)):
+            start[w.index(n)] = k
+        for seed in range(5):
+            ens = Ensemble(PARAMS, w, start, -0.8, 0.8)
+            ens.step(0.01, np.random.default_rng(seed))
+            arrivals = sum(int(ens.counts[w.index(n + d)]) for n in sites for d in (-1, 1))
+            assert ens.jumps == arrivals > 0
 
     @pytest.mark.parametrize(
         "L, M",
@@ -310,22 +371,87 @@ class TestStep:
         assert np.mean(drifts) < 0.1
 
 
+def trinomial_pmf(k, up, down):
+    """{(a, b): P(up-moves = a, down-moves = b)} of the (up, down, stay)
+    multinomial of k walkers, summed in logs."""
+    stay = 1.0 - up - down
+    pmf = {}
+    for a in range(k + 1 if up else 1):
+        for b in range(k - a + 1 if down else 1):
+            log_p = (math.lgamma(k + 1) - math.lgamma(a + 1) - math.lgamma(b + 1)
+                     - math.lgamma(k - a - b + 1) + (a * math.log(up) if a else 0.0)
+                     + (b * math.log(down) if b else 0.0) + (k - a - b) * math.log(stay))
+            pmf[a, b] = math.exp(log_p)
+    return pmf
+
+
+class TestSiteSampler:
+    """_site_moves against the exact (up, down, stay) law: a chi-square
+    test over 10^5 draws at a fixed seed, on cells of expected count >= 5
+    and one cell pooling the rest.  Bounds, fixed before the sampler was
+    written: p-value >= 1e-4 on every case, and up + down <= k always."""
+
+    DRAWS = 100_000
+
+    @pytest.mark.parametrize("k, up, down", [
+        (1, 0.04, 0.05),  # one walker
+        (400, 0.0745, 0.0255),  # k * up = 29.8: both binomials invert
+        (400, 0.0755, 0.0245),  # k * up = 30.2: up from rng.binomial
+        (400, 0.02, 0.08),  # (k - up) * down / (1 - up): about 32, rng.binomial
+        (30, 0.06, 0.04),  # (up + down) at the guard, 0.1
+        (20, 0.0, 0.1),  # right edge: lambda = 0
+        (20, 0.1, 0.0),  # left edge: mu = 0
+    ])
+    def test_law_is_the_trinomial(self, k, up, down):
+        from scipy.stats import chi2
+
+        rng = np.random.Generator(np.random.Philox(k))
+        uniforms = rng.random((self.DRAWS, 2)).tolist()
+        draws = [_site_moves(k, up, down, u, v, rng) for u, v in uniforms]
+        assert all(a >= 0 and b >= 0 and a + b <= k for a, b in draws)
+        observed = {}
+        for pair in draws:
+            observed[pair] = observed.get(pair, 0) + 1
+        assert set(observed) <= set(trinomial_pmf(k, up, down))
+        cells, rest_obs, rest_exp = [], 0, 0.0
+        for pair, q in trinomial_pmf(k, up, down).items():
+            if q * self.DRAWS >= 5:
+                cells.append((observed.get(pair, 0), q * self.DRAWS))
+            else:
+                rest_obs += observed.get(pair, 0)
+                rest_exp += q * self.DRAWS
+        if rest_exp > 0:
+            cells.append((rest_obs, rest_exp))
+        stat = sum((o - e) ** 2 / e for o, e in cells)
+        assert chi2.sf(stat, len(cells) - 1) >= 1e-4
+
+    def test_rounding_gap_starts_over_at_a_fresh_uniform(self):
+        # the pmf of Bin(10, 0.1), subtracted term by term, leaves more than
+        # the largest uniform below 1: past x = k the draw starts over at
+        # the generator's next uniform
+        u = math.nextafter(1.0, 0.0)
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        assert _binomial(10, 0.1, u, rng) == _binomial(10, 0.1, twin.random(), twin)
+        assert rng.random() == twin.random()
+
+
 # README config (beta = 1, c = 1, [-25, 25], delta_0, L0 = 1.3, M0 = -0.4),
 # N = 10^4, dt = 5e-4, T = 1: sha256 over every sample's float64
-# histogram, and the final (L, M, K_N), as the occupied-site gather step
-# drew them.  Band stepping must draw the same stream.
+# histogram, and the final (L, M, K_N), as the per-site binomial pairs drew
+# them.  Pinned when they replaced the multinomial call, which drew
+# another stream of the same law; any further change of stream shows here.
 STREAM_PINS = {
     1: (
-        "d95bc7f3e569a649061aa683cd50d99cac709f125f24cb4519b216f3aff02b2c",
-        0.3395719214579833, 0.260026698281136, 0.8924986197391194,
+        "b55a65ec2a67937489d9728f73101ee041e43c21148f4c96451eda3b639cc08e",
+        0.3422015851690324, 0.25491764493302377, 0.8887192301020561,
     ),
     2: (
-        "c35ecde77526c2a316c33d8f68191653aeae2d922c43e64be7e76b70a2d28941",
-        0.32850624319756666, 0.24710129753914845, 0.8580075407367151,
+        "26ee37459c13724718ccb35b57dfc4207dd136127a378a547ad3634ad9ae4a4d",
+        0.35516707833987476, 0.26800738127162366, 0.9302744596114985,
     ),
     3: (
-        "4dc06384b5fa9c4d9bfd03a3a0510ccd3756bb2f52ccb9f9e64a5f0193d3d923",
-        0.3384575217756684, 0.2581354621142427, 0.8990929838899111,
+        "7ba503f98f07a0a48e2e436002c3822b68ce9f7b0fc541498d3966aaa30cf8c3",
+        0.3554211647546991, 0.26580175282815044, 0.9318229175828495,
     ),
 }
 
@@ -382,6 +508,7 @@ class TestRun:
         assert log.steps == math.ceil(run["t_final"] / run["dt"] - 1e-12)
         # every step of a run draws, the first one too
         assert (log.band_max >= 1) == (log.steps >= 1)
+        assert log.jumps >= 0 and (log.steps or not log.jumps)
         assert log.band_max <= run["p0"].window.size
 
     def test_stream_pinned(self):
