@@ -158,7 +158,8 @@ class TestStep:
         ens.L, ens.M = L, M
         before = (ens.counts.copy(), ens.L, ens.M, ens.t, ens.max_rate_dt,
                   ens.band_max, ens.jumps, ens._lo, ens._hi)
-        with pytest.raises(error, match="at site [1-9]" if error is StepTooLarge else ""):
+        message = "at site [1-9]" if error is StepTooLarge else "rate exponent out of range"
+        with pytest.raises(error, match=message):
             ens.step(1e-3, np.random.default_rng(1))
         after = (ens.counts, ens.L, ens.M, ens.t, ens.max_rate_dt,
                  ens.band_max, ens.jumps, ens._lo, ens._hi)
