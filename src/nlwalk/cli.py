@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 2 invalid config or input value, 3 model-condition
 failure (e.g. a convergence verdict requested with C_lambda != C_mu), 4
-numerical failure; each error class carries its code as `exit_code`.
+numerical failure or an allocation that ran out of memory; each error
+class carries its code as `exit_code`.
 Identical config + seed gives byte-identical CSV output; floats are
 written with repr() so they round-trip exactly.
 """
@@ -528,6 +529,10 @@ def main(argv=None) -> int:
         # a library call refused an input value the config passed through
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # a size the config asked for could not be allocated
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 4
     finally:
         warnings.formatwarning = formatwarning
 

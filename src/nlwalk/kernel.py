@@ -33,7 +33,7 @@ from typing import IO, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DominatingRateOverflow, RateOverflow
+from .errors import DominatingRateOverflow, NumericalError, RateOverflow
 from .lattice import LatticeMeasure, Window, log_plus_weights
 from .model import ModelParams, rate_arrays
 
@@ -96,22 +96,21 @@ class FrozenPath:
 
 @dataclass(frozen=True)
 class Generator:
-    """Tridiagonal truncated generator: diag plus upward/downward rates."""
+    """The truncated generator G(L, M) as the (lambda, mu) pair rate_arrays
+    returns: lam[-1] = mu[0] = 0, so the diagonal -(lam + mu) makes every
+    row of G sum to 0."""
 
     window: Window
-    diag: np.ndarray
-    lower: np.ndarray  # mu at sites[1:]   (jump n -> n-1)
-    upper: np.ndarray  # lambda at sites[:-1] (jump n -> n+1)
+    lam: np.ndarray
+    mu: np.ndarray
 
     def as_matrix(self) -> np.ndarray:
-        Q = np.diag(self.diag)
-        Q += np.diag(self.upper, 1)
-        Q += np.diag(self.lower, -1)
-        return Q
+        lam, mu = self.lam, self.mu
+        return np.diag(-(lam + mu)) + np.diag(lam[:-1], 1) + np.diag(mu[1:], -1)
 
     @property
     def max_rate(self) -> float:
-        return float(np.abs(self.diag).max())
+        return float((self.lam + self.mu).max())
 
 
 @dataclass(frozen=True)
@@ -127,31 +126,23 @@ class Kernel:
     def min_entry(self) -> float:
         return float(self.rows.min())
 
-    def apply(self, p0: LatticeMeasure) -> np.ndarray:
-        if p0.window != self.window:
-            raise ValueError("measure window does not match kernel window")
-        return p0.values @ self.rows
-
 
 def generator_at(
     params: ModelParams, path: FrozenPath, t: float, window: Window
 ) -> Generator:
-    L, M = path.at(t)
-    lam, mu = rate_arrays(params, L, M, window)
-    return Generator(
-        window=window,
-        diag=-(lam + mu),
-        lower=mu[1:],
-        upper=lam[:-1],
-    )
+    return Generator(window, *rate_arrays(params, *path.at(t), window))
 
 
 def _weighted_row_norm(A: np.ndarray, window: Window, alpha: float) -> float:
     """max_j sum_k w_k |A_jk| / w_j: the norm that A induces on
     weighted-l1 measures acted on from the left.  The ratios w_k / w_j
     span hundreds of orders of magnitude, so each term is formed in log
-    space."""
-    log_w = log_plus_weights(window, alpha)
+    space.  A weight past the float range (alpha * |n| overflows) would
+    make its ratios nan: it raises NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = log_plus_weights(window, alpha)
+    if not np.isfinite(log_w).all():
+        raise NumericalError(f"weights past the float range at alpha = {alpha:g}")
     with np.errstate(divide="ignore"):
         terms = np.exp(np.log(np.abs(A)) + log_w - log_w[:, None])
     return float(terms.sum(axis=1).max())
@@ -160,7 +151,7 @@ def _weighted_row_norm(A: np.ndarray, window: Window, alpha: float) -> float:
 def v_induced_norm(gen: Generator, alpha: float) -> float:
     """Induced norm of the off-diagonal part V on weighted-l1 measures:
     max_j (w_{j+1} lambda_j + w_{j-1} mu_j) / w_j."""
-    return _weighted_row_norm(gen.as_matrix() - np.diag(gen.diag), gen.window, alpha)
+    return _weighted_row_norm(gen.as_matrix() + np.diag(gen.lam + gen.mu), gen.window, alpha)
 
 
 def v_norm_bound(
@@ -187,9 +178,8 @@ def _base_step(span: float, tau: float) -> Tuple[int, float]:
     return s, math.ldexp(tau, -s)
 
 
-def _transition_matrix(lam: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarray:
-    """exp(tau G) of the tridiagonal generator with up-rates lam and
-    down-rates mu (lam[-1] = mu[0] = 0, so the rows of G sum to 0).
+def _transition_matrix(gen: Generator, tau: float) -> np.ndarray:
+    """exp(tau G) of the tridiagonal generator gen.
 
     The base matrix is the degree-7 Taylor polynomial of hG, h = tau / 2^s
     from _base_step, with its negative entries clipped at 0; it is squared
@@ -197,9 +187,9 @@ def _transition_matrix(lam: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarra
     No step subtracts, so every entry is a sum of nonnegative products and
     keeps full relative accuracy, up to an error that grows with s.
     """
-    eye = np.eye(len(lam))
-    s, h = _base_step(float((lam + mu).max()) * tau, tau)
-    A = np.diag(-h * (lam + mu)) + np.diag(h * lam[:-1], 1) + np.diag(h * mu[1:], -1)
+    eye = np.eye(gen.window.size)
+    s, h = _base_step(gen.max_rate * tau, tau)
+    A = h * gen.as_matrix()
     P = eye
     for k in range(_TAYLOR_DEGREE, 0, -1):
         P = eye + (A @ P) / k
@@ -240,7 +230,8 @@ def propagate(
         L, M = path.at(0.5 * (a + b))
         if frozen != (L, M):
             frozen = (L, M)
-            step = _transition_matrix(*rate_arrays(params, L, M, window), tau)
+            gen = Generator(window, *rate_arrays(params, L, M, window))
+            step = _transition_matrix(gen, tau)
         P = P @ step
     return Kernel(window=window, rows=P)
 
@@ -271,16 +262,17 @@ def dyson_series(
         raise ValueError("k_maxes must be a nonempty list of ints >= 0")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    gen = generator_at(params, FrozenPath.constant(L, M), t0, window)
+    gen = Generator(window, *rate_arrays(params, L, M, window))
     tau = t1 - t0
     n = window.size
     if tau == 0.0:
         return [(Kernel(window=window, rows=np.eye(n)), 0.0) for _ in k_maxes]
 
+    D = -(gen.lam + gen.mu)
     lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
     s, h = _base_step(lam_dom * tau, tau)
-    w0 = 1.0 + gen.diag / lam_dom  # diagonal of W0, in [0, 1]
-    U = (gen.as_matrix() - np.diag(gen.diag)) / lam_dom
+    w0 = 1.0 + D / lam_dom  # diagonal of W0, in [0, 1]
+    U = (gen.as_matrix() - np.diag(D)) / lam_dom
 
     # G[j]: the m-letter words with j letters U; T[j - 1]: T_j(h)
     K = max(k_maxes)
@@ -295,7 +287,7 @@ def dyson_series(
         weight *= x_h / m
         T += weight * G[1:]
     for level in range(s):
-        e = np.exp(math.ldexp(h, level) * gen.diag)  # T_0 over this level's step
+        e = np.exp(math.ldexp(h, level) * D)  # T_0 over this level's step
         doubled = e[:, None] * T + T * e
         for k in range(2, K + 1):
             doubled[k - 1] += np.matmul(T[:k - 1], T[k - 2::-1]).sum(axis=0)
@@ -307,7 +299,7 @@ def dyson_series(
         log_rem = (k + 1) * math.log(x) - math.lgamma(k + 2) + x if x > 0 else -math.inf
         # a bound past the float range is inf: it bounds nothing
         remainder = 0.0 if log_rem <= -700 else math.exp(log_rem) if log_rem < 709 else math.inf
-        rows = sum(T[:k], np.diag(np.exp(tau * gen.diag)))
+        rows = sum(T[:k], np.diag(np.exp(tau * D)))
         out.append((Kernel(window=window, rows=rows), remainder))
     return out
 

@@ -31,8 +31,9 @@ checks the guard at each occupied site before that site draws, adds the
 walker sums of lambda*dt and mu*dt for the barrier update, and adds the
 site's moves into the new counts on [lo - 1, hi + 1), whose first and
 last nonzero sites are the next step's band.  (L, M), the counts and t
-change only once the loop has finished, so a StepTooLarge leaves the
-ensemble as it was.  The guard bounds the band: (lambda + mu)*dt <= 0.1
+change only once the loop has finished, so a refused step leaves the
+ensemble as it was: StepTooLarge, or RateOverflow for a rate past the
+float range.  The guard bounds the band: (lambda + mu)*dt <= 0.1
 on every occupied site keeps, for constant beta = b, the band within
 (M - L) + 2 ln(0.1/(b dt))/c + 1 sites.
 
@@ -53,7 +54,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import StepTooLarge
+from .errors import RateOverflow, StepTooLarge
 from .lattice import LatticeMeasure, Window
 from .model import ModelParams, check_rate_exponents, rate_arrays
 
@@ -218,9 +219,11 @@ class Ensemble:
                 total = up + down
                 if total > max_rate_dt:
                     if total > RATE_DT_LIMIT:
+                        site = self.window.n_min + left + j
+                        if total == math.inf:
+                            raise RateOverflow(f"jump rates overflowed at site {site}")
                         raise StepTooLarge(
-                            f"rate * dt = {total:g} > {RATE_DT_LIMIT:g} at site "
-                            f"{self.window.n_min + left + j}; shrink dt"
+                            f"rate * dt = {total:g} > {RATE_DT_LIMIT:g} at site {site}; shrink dt"
                         )
                     max_rate_dt = total
                 up_dt += k * up

@@ -7,6 +7,9 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nlwalk
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,17 +75,45 @@ def test_every_dataclass_field_is_read():
     assert fields and not unread, f"dataclass fields nothing reads: {unread}"
 
 
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_bench_tracer_installs():
     # the benchmark's tracer wraps library functions by attribute; its own
     # tests are slow and run apart, so a renamed or dropped attribute it
     # binds to is caught here
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_tracer()
     rate_arrays = nlwalk.kernel.rate_arrays
     with tracer.Tracer(0).installed():
         assert nlwalk.kernel.rate_arrays is not rate_arrays
     assert nlwalk.kernel.rate_arrays is rate_arrays
+
+
+def test_bench_tracer_uniformization_margin():
+    # the tracer's kernel.uniformization_margin reads generator_at(...).max_rate
+    # and UNIFORMIZATION_LIMIT from nlwalk.kernel: on one traced propagate
+    # call it is the largest max(lambda + mu) * tau / UNIFORMIZATION_LIMIT
+    # over the substep midpoints
+    t = _bench_tracer().Tracer(0)
+    params, w, substeps = nlwalk.ModelParams(), nlwalk.Window.symmetric(8), 5
+    path = nlwalk.FrozenPath(np.array([0.0, 1.0]), np.array([1.3, 0.2]), np.array([-0.4, 0.6]))
+    with t.installed():
+        nlwalk.kernel.propagate(params, path, 0.0, 1.0, w, substeps)
+    tau = 1.0 / substeps
+    expected = max(
+        float((lam + mu).max()) * tau / nlwalk.kernel.UNIFORMIZATION_LIMIT
+        for lam, mu in (
+            nlwalk.rate_arrays(params, *path.at((k + 0.5) * tau), w) for k in range(substeps)
+        )
+    )
+    assert expected > 0.0
+    assert t.layer_metrics(0.0)["kernel.uniformization_margin"] == pytest.approx(
+        expected, rel=1e-12
+    )
 
 
 def test_beta_is_read_only_in_model():

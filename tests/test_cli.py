@@ -399,6 +399,20 @@ class TestOtherCommands:
         [dyson] = strict_json(out / "kernel_check.json")["dyson"]
         assert dyson["remainder_bound"] is None
 
+    def test_kernel_check_weights_past_float_range(self, tmp_path, capsys):
+        # alpha * |n| overflows at alpha = 1e308, so every weight ratio is
+        # nan: the remainder bound is refused, not written as 0.0
+        text = BASE.replace("m = 12", "m = 6").replace(
+            "beta_value = 1.0", "beta_value = 1.0\nalpha = 1e308"
+        ) + "\n[kernel]\nk_max = 2\npath = constant\n"
+        cfg = write_config(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: weights past the float range")
+
     def test_kernel_check_dyson_needs_a_constant_path(self, tmp_path, capsys, monkeypatch):
         # the Dyson series takes one frozen (L, M): k_max along the dynamics
         # path is refused before the path is integrated
@@ -728,6 +742,23 @@ def test_eigensolver_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "dstev" in lines[0]
+
+
+def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
+    # [kernel] substeps = 1e11 asks np.linspace for 0.8 TB of substep
+    # edges; the failed allocation is simulated, never attempted
+    linspace = np.linspace
+
+    def refuse(start, stop, num=50, **kwargs):
+        if num > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * num / 2**40:.2f} TiB")
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    cfg = write_config(tmp_path, BASE + "\n[kernel]\nsubsteps = 100000000000\n")
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: out of memory: Unable to allocate 0.73 TiB"]
 
 
 def test_commands_without_eigensolves_do_not_load_scipy(tmp_path):

@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from nlwalk import (
     ConstantBeta,
+    Generator,
     IntegratorConfig,
     LatticeMeasure,
     LinearDriftBeta,
@@ -330,10 +331,6 @@ def _full_window_samples(params, state0, T, config):
     return out
 
 
-def _generator(lam, mu):
-    return np.diag(-(lam + mu)) + np.diag(lam[:-1], 1) + np.diag(mu[1:], -1)
-
-
 @st.composite
 def _model_on_window(draw):
     """(params, window): c in [0.05, 5], any profile, 3-60 sites."""
@@ -429,7 +426,8 @@ class TestBand:
         assert lo > 0
         assert (hi == window.size) == reaches_edge
         for L_t, M_t in ((L, M), (L + params.C_lambda * dt, M - params.C_mu * dt)):
-            q = p @ expm(dt * _generator(*rate_arrays(params, L_t, M_t, window)))
+            G = Generator(window, *rate_arrays(params, L_t, M_t, window)).as_matrix()
+            q = p @ expm(dt * G)
             assert q[:lo].sum() + q[hi:].sum() <= bound
 
     def test_rate_weight_keeps_a_fast_site(self, bench_params):
@@ -487,7 +485,7 @@ class TestBand:
         )
         assert hi == 20 and bound <= TRUNC_TOL
         lam, mu = rate_arrays(params, L + dt, M - dt, w)
-        q = p @ expm(dt * _generator(lam, mu))
+        q = p @ expm(dt * Generator(w, lam, mu).as_matrix())
         assert 0.3 * bound <= q[hi:].sum() <= bound
 
     @given(case=_band_cases())

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nlwalk import (
     FrozenPath,
+    Generator,
     IntegratorConfig,
     Kernel,
     LatticeMeasure,
@@ -98,9 +99,9 @@ class TestFrozenPath:
 class TestGenerator:
     def test_small_window_entries(self):
         gen = generator_at(PARAMS, FrozenPath.constant(0.0, 0.0), 0.0, Window.symmetric(1))
-        assert gen.upper == pytest.approx([math.e, 1.0], rel=1e-15)
-        assert gen.lower == pytest.approx([1.0, math.e], rel=1e-15)
-        assert gen.diag == pytest.approx([-math.e, -2.0, -math.e], rel=1e-15)
+        assert gen.lam == pytest.approx([math.e, 1.0, 0.0], rel=1e-15)
+        assert gen.mu == pytest.approx([0.0, 1.0, math.e], rel=1e-15)
+        assert -(gen.lam + gen.mu) == pytest.approx([-math.e, -2.0, -math.e], rel=1e-15)
 
     def test_row_sums_zero(self):
         gen = generator_at(PARAMS, PATH0, 0.0, Window.symmetric(8))
@@ -176,9 +177,10 @@ class TestPropagate:
         # exp(tau G) against a reference to the given digits, entrywise
         # relative over the entries above 1e-280 (at m = 8, tau = 0.02 all
         # of them; the smallest is 7e-40)
-        lam, mu = rate_arrays(params, L, M, Window.symmetric(m))
-        P = _transition_matrix(lam, mu, tau)
-        ref = mpmath_expm(np.diag(lam[:-1], 1) + np.diag(mu[1:], -1), tau, digits)
+        w = Window.symmetric(m)
+        gen = Generator(w, *rate_arrays(params, L, M, w))
+        P = _transition_matrix(gen, tau)
+        ref = mpmath_expm(gen.as_matrix() + np.diag(gen.lam + gen.mu), tau, digits)
         big = ref > 1e-280
         assert (np.abs(P[big] - ref[big]) / ref[big]).max() <= bound
 
@@ -217,8 +219,8 @@ class TestPropagate:
         p_large = LatticeMeasure.delta(0, Window.symmetric(12))
         Ps = propagate(PARAMS, PATH0, 0.0, 0.2, p_small.window, substeps=40)
         Pl = propagate(PARAMS, PATH0, 0.0, 0.2, p_large.window, substeps=250)
-        ms = Ps.apply(p_small)
-        ml = Pl.apply(p_large)
+        ms = p_small.values @ Ps.rows
+        ml = p_large.values @ Pl.rows
         a = LatticeMeasure.normalized(p_small.window, ms)
         b = LatticeMeasure.normalized(p_large.window, ml)
         assert total_variation(a, b) < 10 * math.exp(-25)
@@ -234,7 +236,7 @@ class TestPropagate:
         )
         path = FrozenPath.from_log(log)
         P = propagate(PARAMS, path, 0.0, 0.5, w, substeps=200)
-        marginal = LatticeMeasure.normalized(w, P.apply(state0.p))
+        marginal = LatticeMeasure.normalized(w, state0.p.values @ P.rows)
         assert total_variation(marginal, log.final().p) < 1e-5
 
     def test_forward_consistency_on_readme_window(self):
@@ -248,7 +250,7 @@ class TestPropagate:
         )
         path = FrozenPath.from_log(log)
         P = propagate(PARAMS, path, 0.0, 0.5, w, substeps=200)
-        marginal = LatticeMeasure.normalized(w, P.apply(state0.p))
+        marginal = LatticeMeasure.normalized(w, state0.p.values @ P.rows)
         assert total_variation(marginal, log.final().p) < 1e-5
 
     @given(
@@ -291,7 +293,7 @@ class TestDyson:
         w = Window.symmetric(m)
         gen = generator_at(PARAMS, PATH0, 0.0, w)
         [(approx, _)] = dyson_series(PARAMS, L0, M0, 0.0, tau, w, k_maxes=[0])
-        expected = np.diag(np.exp(gen.diag * tau))
+        expected = np.diag(np.exp(-(gen.lam + gen.mu) * tau))
         assert np.allclose(approx.rows, expected, rtol=1e-10, atol=1e-300)
 
     def test_matches_mpmath_layered_expm(self):
@@ -303,8 +305,9 @@ class TestDyson:
         w = Window.symmetric(6)
         gen = generator_at(PARAMS, PATH0, 0.0, w)
         n = w.size
-        V = gen.as_matrix() - np.diag(gen.diag)
-        E = mpmath_expm(np.kron(np.eye(K + 1, k=1), V), tau, 60, np.tile(gen.diag, K + 1))
+        D = -(gen.lam + gen.mu)
+        V = gen.as_matrix() - np.diag(D)
+        E = mpmath_expm(np.kron(np.eye(K + 1, k=1), V), tau, 60, np.tile(D, K + 1))
         ref = np.cumsum([E[:n, b * n:(b + 1) * n] for b in range(K + 1)], axis=0)
         sums = dyson_series(PARAMS, L0, M0, 0.0, tau, w, range(K + 1))
         for (approx, _), exact in zip(sums, ref):

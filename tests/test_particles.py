@@ -142,23 +142,31 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             ens.step(1.0, np.random.default_rng(1))
 
-    @pytest.mark.parametrize("L, M, error", [
-        (-10.0, -3.0, StepTooLarge),
-        (695.0, 0.0, RateOverflow),
+    @pytest.mark.parametrize("params, L, M, error, message", [
+        pytest.param(PARAMS, -10.0, -3.0, StepTooLarge, "at site [1-9]",
+                     id="-10.0--3.0-StepTooLarge"),
+        pytest.param(PARAMS, 695.0, 0.0, RateOverflow, "rate exponent out of range",
+                     id="695.0-0.0-RateOverflow"),
+        # beta(-4) = 1e3 sends walkers from -3 to -4, where
+        # mu = beta(-5) e^{c(-4 - M)} is past the float range at M = -12
+        pytest.param(
+            ModelParams(beta=TableBeta((1.7e308, 1e3), n_min=-5, left=1.0, right=1.0)),
+            0.0, -12.0, RateOverflow, "overflowed at site -4",
+            id="0.0--12.0-RateOverflow-infinite-rate",
+        ),
     ])
-    def test_refused_step_leaves_the_ensemble_as_it_was(self, L, M, error):
+    def test_refused_step_leaves_the_ensemble_as_it_was(self, params, L, M, error, message):
         # the walkers spread over [-4, 4] first; at (L, M) = (-10, -3) the
         # rates grow to the right, so the guard trips at a right-hand site
         # after the sites left of it have drawn
         w = Window.symmetric(10)
         start = np.zeros(w.size, dtype=int)
         start[w.index(-3) : w.index(4)] = 500
-        ens = Ensemble(PARAMS, w, start, 0.0, 0.0)
+        ens = Ensemble(params, w, start, 0.0, 0.0)
         ens.step(1e-3, np.random.default_rng(0))
         ens.L, ens.M = L, M
         before = (ens.counts.copy(), ens.L, ens.M, ens.t, ens.max_rate_dt,
                   ens.band_max, ens.jumps, ens._lo, ens._hi)
-        message = "at site [1-9]" if error is StepTooLarge else "rate exponent out of range"
         with pytest.raises(error, match=message):
             ens.step(1e-3, np.random.default_rng(1))
         after = (ens.counts, ens.L, ens.M, ens.t, ens.max_rate_dt,
