@@ -109,33 +109,31 @@ class RunConfig:
 
     getfloat = get  # bench/workloads.py reads [run] t_final through it
 
+    def _given(self, section: str, *keys: str, **renamed: str) -> dict:
+        """{field: value} for each key that [section] sets, the field named
+        as the key or by renamed (field=key): the arguments of the library
+        object those fields configure, so a key left out takes its default."""
+        fields = {**dict(zip(keys, keys)), **renamed}.items()
+        return {f: self.get(section, k) for f, k in fields if self._p.has_option(section, k)}
+
     # -- assembled pieces -------------------------------------------------
     def _build_params(self) -> ModelParams:
         kind = self.get("model", "beta", "constant")
         try:
             if kind == "constant":
-                beta = ConstantBeta(self.get("model", "beta_value", 1.0))
+                beta = ConstantBeta(**self._given("model", b="beta_value"))
             elif kind == "table":
                 beta = TableBeta(
                     values=tuple(self.get("model", "beta_table", _REQUIRED)),
-                    n_min=self.get("model", "beta_table_start", 0),
-                    left=self.get("model", "beta_left"),
-                    right=self.get("model", "beta_right"),
+                    **self._given("model", n_min="beta_table_start",
+                                  left="beta_left", right="beta_right"),
                 )
             elif kind == "lineardrift":
-                beta = LinearDriftBeta(
-                    slope=self.get("model", "beta_slope", 1.0),
-                    c=self.get("model", "c", 1.0),
-                )
+                beta = LinearDriftBeta(**self._given("model", slope="beta_slope", c="c"))
             else:
                 raise ConfigError(f"unknown beta profile {kind!r}")
-            return ModelParams(
-                c=self.get("model", "c", 1.0),
-                C_lambda=self.get("model", "c_lambda", 1.0),
-                C_mu=self.get("model", "c_mu", 1.0),
-                beta=beta,
-                alpha=self.get("model", "alpha", 0.0),
-            )
+            given = self._given("model", "c", C_lambda="c_lambda", C_mu="c_mu", alpha="alpha")
+            return ModelParams(beta=beta, **given)
         except (InvalidProfile, ValueError) as e:
             raise ConfigError(f"invalid model section: {e}") from e
 
@@ -184,11 +182,8 @@ class RunConfig:
         if method != "splitting":
             raise ConfigError(f"unknown integrator method {method!r}")
         try:
-            return IntegratorConfig(
-                dt_init=self.get("integrator", "dt_init", 1e-3),
-                rel_tol=self.get("integrator", "rel_tol", 1e-8),
-                n_samples=self.get("integrator", "n_samples", 201),
-            )
+            given = self._given("integrator", "dt_init", "rel_tol", "n_samples")
+            return IntegratorConfig(**given)
         except ValueError as e:
             raise ConfigError(f"invalid integrator section: {e}") from e
 
@@ -439,7 +434,7 @@ def cmd_particles(cfg: RunConfig, args) -> int:
     seed = _seed(cfg, args)
     log = run_particles(
         cfg.params, state0.p, state0.L, state0.M, n, T, dt, seed,
-        n_samples=cfg.get("particles", "n_samples", 51),
+        **cfg._given("particles", "n_samples"),
     )
     with (out / "particles.csv").open("w", newline="") as fh:
         w = csv.writer(fh)

@@ -40,6 +40,11 @@ from .model import ModelParams, rate_arrays
 # lambda_dom * tau above which e^{-lambda_dom tau} underflows; the scale
 # against which the benchmark tracer reports each substep's stiffness
 UNIFORMIZATION_LIMIT = 700.0
+# dyson_series' caps: floats in one array of its K + 1 jump-count terms
+# (80 MB; three are held at once), and multiply-adds of its n x n matmuls
+# (7-25 s at the 4-14 GMAC/s one 2-core host reached on 17-51 sites)
+_DYSON_MAX_FLOATS = 1e7
+_DYSON_MAX_MADDS = 1e11
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,9 @@ def dyson_series(
     T_0(a) = exp(a D) taken directly, so its error does not double with
     every level.  Term k never reads a higher term and s depends only on
     lambda_dom * tau, so each partial sum equals the one a call for its
-    own k_max alone gives."""
+    own k_max alone gives.  A K whose term arrays or matmuls pass
+    _DYSON_MAX_FLOATS or _DYSON_MAX_MADDS raises ValueError before any
+    of them is made."""
     if not k_maxes or min(k_maxes) < 0:
         raise ValueError("k_maxes must be a nonempty list of ints >= 0")
     if t1 < t0:
@@ -271,11 +278,23 @@ def dyson_series(
     D = -(gen.lam + gen.mu)
     lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
     s, h = _base_step(lam_dom * tau, tau)
+    K = max(k_maxes)
+    if (K + 1) * n * n > _DYSON_MAX_FLOATS:
+        raise ValueError(
+            f"k_max = {K} on {n} sites needs {(K + 1) * n * n:.3g} floats per term "
+            f"array, above {_DYSON_MAX_FLOATS:g}"
+        )
+    # the base stage takes (K + 7) K matmuls, each of s doublings K (K - 1) / 2
+    matmuls = (K + 7) * K + s * K * (K - 1) // 2
+    if matmuls * n**3 > _DYSON_MAX_MADDS:
+        raise ValueError(
+            f"k_max = {K} on {n} sites needs {matmuls} matmuls of {n} x {n} "
+            f"({matmuls * n**3:.3g} multiply-adds), above {_DYSON_MAX_MADDS:g}"
+        )
     w0 = 1.0 + D / lam_dom  # diagonal of W0, in [0, 1]
     U = (gen.as_matrix() - np.diag(D)) / lam_dom
 
     # G[j]: the m-letter words with j letters U; T[j - 1]: T_j(h)
-    K = max(k_maxes)
     x_h = lam_dom * h
     weight = math.exp(-x_h)
     G = np.zeros((K + 1, n, n))
@@ -318,6 +337,11 @@ def kernel_weighted_distance(a: Kernel, b: Kernel, alpha: float) -> float:
 # (seed, path, interval, proposal), so the chunk size changes no output;
 # it only caps the size of the per-round arrays.
 PATH_CHUNK = 4096
+# the most proposals a path may expect on its current site before the
+# interval ends, bound * (t1 - t): the samplable bound 1e12 over a unit
+# interval, so no interval of length <= 1 is refused, while 1e12 rounds of
+# about 10 us each would take months
+_PROPOSAL_CAP = 1e12
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -345,7 +369,9 @@ def sample_paths(
     time t takes lambda * e^{c(L(t) - max L)} and mu * e^{c(min M - M(t))},
     both factors <= 1.  Like every rate table, the envelope's must fit
     the window (else RateOverflow).  A path that sits on a site whose
-    bound is not samplable raises DominatingRateOverflow.
+    bound is not samplable raises DominatingRateOverflow, and one that
+    expects more than _PROPOSAL_CAP proposals there before the interval
+    ends, bound * (t1 - t), raises ValueError.
 
     Paths advance together in rounds, one proposal per active path per
     round.  Path i's start draw is the Philox block at counter (i, 0, 0, 0)
@@ -405,6 +431,13 @@ def sample_paths(
                     idx, t, j, R = idx[live], t[live], j[live], R[live]
                     if not idx.size:
                         break
+                work = R * (t1 - t)
+                if work.max() > _PROPOSAL_CAP:
+                    b = int(work.argmax())
+                    raise ValueError(
+                        f"path {i0 + idx[b]} at site {n_min + j[b]} expects {work[b]:.3g} "
+                        f"thinning proposals before t = {t1:g}, above {_PROPOSAL_CAP:g}"
+                    )
                 words = blocks(i0 + int(idx[0]), int(idx[-1] - idx[0]) + 1, k, r)
                 rows = idx - idx[0]
                 t = t - np.log1p(-_unit(words[rows, 0])) / R

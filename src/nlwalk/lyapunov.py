@@ -83,7 +83,7 @@ def entropy_H(p: LatticeMeasure, s: float, c: float) -> float:
     return float(np.sum(v * (np.log(v) + c * (s - n) ** 2)))
 
 
-def W_value(state: SystemState, K: float, c: float = 1.0) -> float:
+def W_value(state: SystemState, K: float, c: float) -> float:
     """W = H + c(2Ks - 3s^2), summed as (H + 2Ks*c) - 3s^2*c, so that
     c = 1 gives the bits of H + 2Ks - 3s^2."""
     s = state.s

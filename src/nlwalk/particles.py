@@ -127,7 +127,7 @@ class ParticleLog:
 class Ensemble:
     params: ModelParams
     window: Window
-    counts: np.ndarray  # walkers per window site, int64, shape (window.size,)
+    counts: List[int]  # walkers per window site, as Python ints for the scalar step
     L: float
     M: float
     t: float = 0.0
@@ -149,14 +149,14 @@ class Ensemble:
             )
         if (counts < 0).any() or counts.sum() < 1:
             raise ValueError("counts must be nonnegative with at least one walker")
-        self.counts = counts.astype(np.int64)
-        self._n = int(self.counts.sum())
+        self.counts = counts.astype(np.int64).tolist()
+        self._n = sum(self.counts)
         # rates at L = M = ref, the window centre (0 on symmetric windows);
         # that table is finite whenever any (L, M) passes the exponent rule
         self._ref = (self.window.n_min + self.window.n_max) / 2
         lam0, mu0 = rate_arrays(self.params, self._ref, self._ref, self.window)
         self._lam0, self._mu0 = lam0.tolist(), mu0.tolist()
-        occ = np.flatnonzero(self.counts)
+        occ = np.flatnonzero(counts)
         self._lo, self._hi = int(occ[0]), int(occ[-1]) + 1
 
     @classmethod
@@ -174,7 +174,7 @@ class Ensemble:
         return cls(params, p0.window, rng.multinomial(n_particles, probs), L0, M0)
 
     def histogram(self) -> np.ndarray:
-        return self.counts / self._n
+        return np.array(self.counts) / self._n
 
     def K_N(self) -> float:
         sites = self.window.sites().astype(float)
@@ -201,7 +201,7 @@ class Ensemble:
         # [lo - 1, hi + 1) clipped to it, and their first and last nonzero
         # sites are the next step's band
         left = max(lo - 1, 0)
-        new = [0] * (min(hi + 1, self.counts.size) - left)
+        new = [0] * (min(hi + 1, len(self.counts)) - left)
         j = lo - left
         max_rate_dt = 0.0
         up_dt = down_dt = 0.0  # walker sums of lam*dt and mu*dt, in site order
@@ -210,7 +210,7 @@ class Ensemble:
         # site, checked before the site draws.  Empty sites inside the band
         # draw nothing, so a rate spike there cannot trip the guard
         for k, lam, mu, u_up, u_down in zip(
-            self.counts[lo:hi].tolist(), self._lam0[lo:hi], self._mu0[lo:hi],
+            self.counts[lo:hi], self._lam0[lo:hi], self._mu0[lo:hi],
             uniforms, uniforms,
         ):
             if k:
@@ -271,7 +271,7 @@ def run_particles(
         raise ValueError(f"need a finite dt > 0, got {dt}")
     if not math.isfinite(t_final / dt):
         raise ValueError(f"t_final / dt = {t_final:g} / {dt:g} overflows the step count")
-    if not 1 <= n_particles < 2**63:  # the counts are int64
+    if not 1 <= n_particles < 2**63:  # rng.multinomial draws int64 counts
         raise ValueError(f"need 1 <= n_particles < 2**63, got {n_particles}")
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")

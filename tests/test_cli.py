@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -19,16 +20,20 @@ from hypothesis import strategies as st
 
 import nlwalk
 from nlwalk import (
+    ConstantBeta,
     IntegratorConfig,
     LatticeMeasure,
+    LinearDriftBeta,
     ModelParams,
     SystemState,
+    TableBeta,
     Window,
     annotate,
     integrate,
     monitor,
+    run_particles,
 )
-from nlwalk.cli import main
+from nlwalk.cli import load_config, main
 from nlwalk.dynamics import TRUNC_TOL
 
 BASE = """
@@ -759,6 +764,71 @@ def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: out of memory: Unable to allocate 0.73 TiB"]
+
+
+@pytest.mark.parametrize("k_max, message", [
+    (100000, "error: k_max = 100000 on 51 sites needs 2.6e+08 floats per term array"),
+    (1000, "error: k_max = 1000 on 51 sites needs 24983000 matmuls of 51 x 51"),
+], ids=["memory", "work"])
+def test_kernel_check_refuses_a_k_max_it_cannot_hold(
+    tmp_path, capsys, monkeypatch, k_max, message
+):
+    # on the README window k_max = 100000 would take two 2 GB term arrays,
+    # and k_max = 1000 arrays of 21 MB but 3.3e12 multiply-adds: each is
+    # refused before any term array is made.  A run that tries to make one
+    # fails here instead, as no other array of kernel-check has 1e6 entries
+    zeros = np.zeros
+
+    def refuse(shape, *args, **kwargs):
+        if np.prod(shape) > 10**6:
+            raise MemoryError(f"refused np.zeros({shape})")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    text = README_CONFIG + f"\n[kernel]\nk_max = {k_max}\npath = constant\n"
+    cfg = write_config(tmp_path, text, "bench.ini")
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+
+
+def test_sample_paths_refuses_unbounded_thinning_work(tmp_path):
+    # over [0, 1e300] a path at 0 on the README window expects about 5e300
+    # proposals; it is refused before the first round.  A run that makes
+    # the rounds instead is stopped by the timeout
+    text = README_CONFIG + "\n[paths]\nn_paths = 10\nsample_times = 0, 1e300\npath = constant\n"
+    cfg = write_config(tmp_path, text, "bench.ini")
+    code = "import sys; from nlwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(nlwalk.__file__).resolve().parents[1]))
+    argv = ["sample-paths", "--config", cfg, "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: path 0 at site 0 expects 5.16e+300")
+
+
+# each beta profile with none of the optional keys set: the config builds
+# the library objects at their own defaults, as the README session does
+@pytest.mark.parametrize("profile, beta", [
+    ("beta = constant", ConstantBeta()),
+    ("beta = table\nbeta_table = 0.5, 2.0", TableBeta((0.5, 2.0))),
+    ("beta = lineardrift", LinearDriftBeta()),
+], ids=["constant", "table", "lineardrift"])
+def test_keys_left_out_take_the_library_defaults(tmp_path, profile, beta):
+    cfg = load_config(write_config(tmp_path, f"[model]\n{profile}\n"))
+    assert cfg.params == ModelParams(beta=beta)
+    assert cfg.integrator() == IntegratorConfig()
+
+
+def test_particles_without_n_samples_writes_the_library_default(tmp_path):
+    n_samples = inspect.signature(run_particles).parameters["n_samples"].default
+    text = BASE + "\n[particles]\nn = 50\ndt = 0.001\nt_final = 0.1\n"
+    out = tmp_path / "o"
+    assert main(["particles", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    with (out / "particles.csv").open(newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == n_samples == 51
 
 
 def test_commands_without_eigensolves_do_not_load_scipy(tmp_path):

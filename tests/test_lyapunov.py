@@ -121,13 +121,13 @@ class TestH:
 class TestW:
     def test_delta_zero_state(self):
         state = SystemState(p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0, M=0)
-        assert W_value(state, K=0.0) == 0.0
+        assert W_value(state, K=0.0, c=1.0) == 0.0
 
     def test_fixed_point_value(self):
         params = ModelParams()
         fp = fixed_point(params, 0.0, Window.symmetric(25))
         state = SystemState(p=fp.pi, L=fp.L_s, M=fp.M_s)
-        assert W_value(state, K=0.0) == pytest.approx(-LN_XI, rel=1e-12)
+        assert W_value(state, K=0.0, c=1.0) == pytest.approx(-LN_XI, rel=1e-12)
 
     def test_unit_c_keeps_the_bits_of_the_c1_formula(self):
         w = Window.symmetric(8)
@@ -138,7 +138,8 @@ class TestW:
                 L=r.uniform(-2, 2), M=r.uniform(-2, 2),
             )
             K, s = r.uniform(-3, 3), state.s
-            assert W_value(state, K) == entropy_H(state.p, s, 1.0) + 2.0 * K * s - 3.0 * s * s
+            expected = entropy_H(state.p, s, 1.0) + 2.0 * K * s - 3.0 * s * s
+            assert W_value(state, K, c=1.0) == expected
 
     def test_certified_requires_unit_c(self):
         state = SystemState(p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0, M=0)
