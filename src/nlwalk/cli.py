@@ -227,9 +227,13 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _t_final(cfg: RunConfig) -> float:
+    """[run] t_final, the end of the dynamics that _integrate runs."""
+    return cfg.get("run", "t_final", 20.0)
+
+
 def _integrate(cfg: RunConfig) -> TrajectoryLog:
-    T = cfg.get("run", "t_final", 20.0)
-    return integrate(cfg.params, cfg.initial_state(), T, cfg.integrator())
+    return integrate(cfg.params, cfg.initial_state(), _t_final(cfg), cfg.integrator())
 
 
 def _write_trajectory_csv(
@@ -371,6 +375,9 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
     if k_maxes and cfg.get("kernel", "path", "constant") != "constant":
         raise ConfigError("[kernel] k_max: the Dyson series needs path = constant")
     path = _frozen_path(cfg, "kernel")
+    # the series refuses a k_max it cannot hold before any exponential is built
+    sums = (kernel_mod.dyson_series(cfg.params, *path.at(t0), t0, t1, cfg.window, k_maxes)
+            if k_maxes else [])
     P = kernel_mod.propagate(cfg.params, path, t0, t1, cfg.window, substeps)
     ck_dev = 0.0
     for tm in splits:
@@ -388,7 +395,6 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
         "ck_deviation": ck_dev,
     }
     if k_maxes:
-        sums = kernel_mod.dyson_series(cfg.params, *path.at(t0), t0, t1, cfg.window, k_maxes)
         payload["dyson"] = [
             {
                 "k_max": k,
@@ -407,9 +413,22 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
 
 def cmd_sample_paths(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    path = _frozen_path(cfg, "paths")
     n_paths = cfg.get("paths", "n_paths", 1000)
     ts = cfg.get("paths", "sample_times", [0.0, 1.0])
+    # the start positions are drawn from [initial] p, the law at t = 0, and
+    # the dynamics path is held at its end values past [run] t_final
+    if ts and ts[0] != 0.0:
+        raise ConfigError(
+            f"[paths] sample_times: the first must be 0, the time of [initial], got {ts[0]}"
+        )
+    if ts and cfg.get("paths", "path", "constant") == "dynamics":
+        T = _t_final(cfg)
+        if ts[-1] > T:
+            raise ConfigError(
+                f"[paths] sample_times: {ts[-1]} is past [run] t_final = {T}, "
+                "where the dynamics path ends"
+            )
+    path = _frozen_path(cfg, "paths")
     state0 = cfg.initial_state()
     walks = kernel_mod.sample_paths(
         cfg.params, path, state0.p, ts, n_paths, _seed(cfg, args)

@@ -464,19 +464,26 @@ def write_kernel_csv(kernel: Kernel, fh: IO[str]) -> None:
 def write_paths_csv(paths: np.ndarray, sample_times: Sequence[float], fh: IO[str]) -> None:
     """One row per (path, sample time), as csv.writer writes them: no field
     needs quoting, and rows end in CRLF.  Each row is its path id and one
-    ",t,n\r\n" tail built once per (sample time, site), the sites spanning
-    the array's least to greatest.  Written PATH_CHUNK paths at a time, so
-    the text in memory stays small."""
+    ",t,n\r\n" tail, built once per (sample time, site) into an object
+    array per sample time, the sites spanning the array's least to
+    greatest.  A block of PATH_CHUNK paths gathers its tails column by
+    column, indexing sample time k's array with the block's k-th site
+    column, and interleaves them with the ids by strided slice assignment
+    into one list, which one join writes: no Python step per row, and the
+    text in memory stays one block's."""
     fh.write("path_id,t,n\r\n")
     if not paths.size:
         return
     lo = int(paths.min())
     sites = range(lo, int(paths.max()) + 1)
-    tails = [[f",{float(t)!r},{n}\r\n" for n in sites] for t in sample_times]
+    tails = [np.array([f",{float(t)!r},{n}\r\n" for n in sites], dtype=object)
+             for t in sample_times]
+    stride = 2 * len(tails)
     for i0 in range(0, len(paths), PATH_CHUNK):
-        block = (paths[i0:i0 + PATH_CHUNK] - lo).tolist()
-        fh.write("".join(
-            path_id + tail[j]
-            for path_id, row in zip(map(str, range(i0, i0 + len(block))), block)
-            for tail, j in zip(tails, row)
-        ))
+        block = paths[i0:i0 + PATH_CHUNK] - lo
+        ids = list(map(str, range(i0, i0 + len(block))))
+        parts = [""] * (stride * len(block))
+        for k, tail in enumerate(tails):
+            parts[2 * k::stride] = ids
+            parts[2 * k + 1::stride] = tail[block[:, k]].tolist()
+        fh.write("".join(parts))

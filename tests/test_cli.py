@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -35,6 +36,7 @@ from nlwalk import (
 )
 from nlwalk.cli import load_config, main
 from nlwalk.dynamics import TRUNC_TOL
+from nlwalk.kernel import PATH_CHUNK
 
 BASE = """
 [model]
@@ -808,6 +810,78 @@ def test_sample_paths_refuses_unbounded_thinning_work(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: path 0 at site 0 expects 5.16e+300")
 
+
+
+def test_kernel_check_refuses_k_max_before_building_any_exponential(
+    tmp_path, capsys, monkeypatch
+):
+    # 2 000 substeps for P and as many for the split's A and B would be
+    # built before the Dyson series' caps were checked
+    def propagate(*args, **kwargs):
+        raise AssertionError("propagated before the refusal")
+
+    monkeypatch.setattr("nlwalk.kernel.propagate", propagate)
+    text = README_CONFIG + textwrap.dedent(
+        """
+        [kernel]
+        substeps = 2000
+        splits = 0.5
+        k_max = 100000
+        path = constant
+        """
+    )
+    cfg = write_config(tmp_path, text, "bench.ini")
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: k_max = 100000 on 51 sites")
+
+
+@pytest.mark.parametrize("run, paths, message", [
+    ("t_final = 1.0", "sample_times = 0.5, 1.0\npath = constant",
+     "error: [paths] sample_times: the first must be 0, the time of [initial], got 0.5"),
+    ("t_final = 1.0", "sample_times = 0.0, 0.5, 2.0\npath = dynamics",
+     "error: [paths] sample_times: 2.0 is past [run] t_final = 1.0"),
+    # [run] t_final left out: the 20.0 that simulate integrates to
+    ("seed = 1", "sample_times = 0.0, 25.0\npath = dynamics",
+     "error: [paths] sample_times: 25.0 is past [run] t_final = 20.0"),
+], ids=["first-not-0", "past-t_final", "past-default-t_final"])
+def test_sample_paths_refuses_times_the_start_and_path_do_not_cover(
+    tmp_path, capsys, monkeypatch, run, paths, message
+):
+    # the start positions are the law of [initial] at t = 0, and past
+    # [run] t_final the dynamics path holds its end values: either is
+    # refused before anything is integrated
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before the refusal")
+
+    monkeypatch.setattr("nlwalk.cli.integrate", integrate)
+    text = README_CONFIG.replace("t_final = 20.0\n", "").replace(
+        "seed = 1", run
+    ) + f"\n[paths]\nn_paths = 20\n{paths}\n"
+    cfg = write_config(tmp_path, text, "bench.ini")
+    assert main(["sample-paths", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+
+
+def test_sample_paths_on_the_dynamics_path_is_pinned(tmp_path):
+    # the whole chain integrate -> sample_paths -> write_paths_csv on the
+    # README config, past one chunk of paths: a change to any of them that
+    # moves a byte of paths.csv fails here
+    text = README_CONFIG + textwrap.dedent(
+        f"""
+        [paths]
+        n_paths = {PATH_CHUNK + 3}
+        sample_times = 0.0, 0.5, 1.0
+        path = dynamics
+        """
+    )
+    cfg = write_config(tmp_path, text, "bench.ini")
+    out = tmp_path / "o"
+    assert main(["sample-paths", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest() == (
+        "c11acf1c2750db1290b5ad919d894c915f18764cc8ec464b5872909b5e6ca204"
+    )
 
 # each beta profile with none of the optional keys set: the config builds
 # the library objects at their own defaults, as the README session does

@@ -478,6 +478,22 @@ class TestSamplePaths:
         write_paths_csv(walks, times, got)
         assert got.getvalue() == expected.getvalue()
 
+    def test_paths_csv_writes_one_chunk_at_a_time(self):
+        # the header, then one write per PATH_CHUNK paths: the text in
+        # memory never holds more than one chunk's rows
+        class Spy:
+            def __init__(self):
+                self.rows = []
+
+            def write(self, text):
+                self.rows.append(text.count("\r\n"))
+
+        times = [0.0, 0.5, 1.0]
+        walks = np.random.default_rng(3).integers(-5, 6, size=(2 * PATH_CHUNK + 5, 3))
+        spy = Spy()
+        write_paths_csv(walks, times, spy)
+        assert spy.rows == [1, 3 * PATH_CHUNK, 3 * PATH_CHUNK, 3 * 5]
+
     def test_marginal_matches_dynamics(self):
         w = Window.symmetric(12)
         state0 = SystemState(p=LatticeMeasure.delta(0, w), L=1.3, M=-0.4)
