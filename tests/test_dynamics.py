@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,24 +97,27 @@ class TestRhsSd:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_change_of_variables(self, seed):
+        # The factored form is summed in 50 digits from the same float inputs,
+        # so the tolerance bounds rhs's own rounding alone; a double-precision
+        # reference carries about as much rounding as rhs (terms near 1e3).
         params = ModelParams()
         state = random_state(seed)
         _, dL, dM = rhs(params, state)
-        c, s, d = params.c, state.s, state.d
-        n = state.window.sites().astype(float)
-        a = np.array([params.beta.log_value(k) for k in state.window.sites()])
-        b = np.array([params.beta.log_value(k - 1) for k in state.window.sites()])
-        a = np.exp(a + c * (s - n))
-        b = np.exp(b + c * (n - s))
-        a[-1] = 0.0
-        b[0] = 0.0
-        ecd = math.exp(c * d)
-        sum_a = float(np.dot(state.p.values, a))
-        sum_b = float(np.dot(state.p.values, b))
-        assert 0.5 * (dL + dM) == pytest.approx(-0.5 * ecd * (sum_a - sum_b), abs=1e-12)
-        assert 0.5 * (dL - dM) == pytest.approx(
-            -0.5 * ecd * (sum_a + sum_b) + params.C_lambda, abs=1e-12
-        )
+        sites = [int(k) for k in state.window.sites()]
+        with mpmath.workdps(50):
+            c = mpmath.mpf(params.c)
+            s = (mpmath.mpf(state.L) + mpmath.mpf(state.M)) / 2
+            d = (mpmath.mpf(state.L) - mpmath.mpf(state.M)) / 2
+            a = [mpmath.exp(params.beta.log_value(k) + c * (s - k)) for k in sites[:-1]]
+            b = [mpmath.exp(params.beta.log_value(k - 1) + c * (k - s)) for k in sites[1:]]
+            p = [mpmath.mpf(x) for x in state.p.values]
+            sum_a = mpmath.fsum(x * y for x, y in zip(p[:-1], a))
+            sum_b = mpmath.fsum(x * y for x, y in zip(p[1:], b))
+            ecd = mpmath.exp(c * d)
+            half_sum = float(-ecd * (sum_a - sum_b) / 2)
+            half_diff = float(-ecd * (sum_a + sum_b) / 2 + params.C_lambda)
+        assert 0.5 * (dL + dM) == pytest.approx(half_sum, abs=1e-12)
+        assert 0.5 * (dL - dM) == pytest.approx(half_diff, abs=1e-12)
 
     def test_d_equation_reduction(self):
         # dd = -(1/2) e^{c d} Q + C_lambda at c = 1.  Q is defined with the
