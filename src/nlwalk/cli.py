@@ -228,7 +228,8 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
 
 
 def _t_final(cfg: RunConfig) -> float:
-    """[run] t_final, the end of the dynamics that _integrate runs."""
+    """[run] t_final: the end of the dynamics that _integrate runs, and of
+    particles when [particles] t_final is left out."""
     return cfg.get("run", "t_final", 20.0)
 
 
@@ -274,7 +275,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "there are no fixed points"
         )
     out = _out_dir(cfg, args)
-    log = annotate(cfg.params, _integrate(cfg))
+    log = annotate(_integrate(cfg))
     report = monitor(log)
     K0 = log.samples[0].K
     s_star = pi_star = K_residual = None
@@ -349,18 +350,24 @@ def cmd_solve_s(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _frozen_path(cfg: RunConfig, section: str) -> kernel_mod.FrozenPath:
+def _path_mode(cfg: RunConfig, section: str) -> str:
+    """[section] path: the (L, M) that kernel-check or sample-paths freezes."""
     mode = cfg.get(section, "path", "constant")
-    state0 = cfg.initial_state()
-    if mode == "constant":
-        return kernel_mod.FrozenPath.constant(state0.L, state0.M)
+    if mode not in ("constant", "dynamics"):
+        raise ConfigError(f"unknown path mode {mode!r} in [{section}]")
+    return mode
+
+
+def _frozen_path(cfg: RunConfig, mode: str) -> kernel_mod.FrozenPath:
     if mode == "dynamics":
         return kernel_mod.FrozenPath.from_log(_integrate(cfg))
-    raise ConfigError(f"unknown path mode {mode!r} in [{section}]")
+    state0 = cfg.initial_state()
+    return kernel_mod.FrozenPath.constant(state0.L, state0.M)
 
 
 def cmd_kernel_check(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
+    mode = _path_mode(cfg, "kernel")
     t0 = cfg.get("kernel", "t0", 0.0)
     t1 = cfg.get("kernel", "t1", 1.0)
     substeps = cfg.get("kernel", "substeps", 50)
@@ -372,9 +379,9 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
     for k in k_maxes:
         if k < 0:
             raise ConfigError(f"[kernel] k_max: must be >= 0, got {k}")
-    if k_maxes and cfg.get("kernel", "path", "constant") != "constant":
+    if k_maxes and mode != "constant":
         raise ConfigError("[kernel] k_max: the Dyson series needs path = constant")
-    path = _frozen_path(cfg, "kernel")
+    path = _frozen_path(cfg, mode)
     # the series refuses a k_max it cannot hold before any exponential is built
     sums = (kernel_mod.dyson_series(cfg.params, *path.at(t0), t0, t1, cfg.window, k_maxes)
             if k_maxes else [])
@@ -413,6 +420,7 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
 
 def cmd_sample_paths(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
+    mode = _path_mode(cfg, "paths")
     n_paths = cfg.get("paths", "n_paths", 1000)
     ts = cfg.get("paths", "sample_times", [0.0, 1.0])
     # the start positions are drawn from [initial] p, the law at t = 0, and
@@ -421,14 +429,14 @@ def cmd_sample_paths(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"[paths] sample_times: the first must be 0, the time of [initial], got {ts[0]}"
         )
-    if ts and cfg.get("paths", "path", "constant") == "dynamics":
+    if ts and mode == "dynamics":
         T = _t_final(cfg)
         if ts[-1] > T:
             raise ConfigError(
                 f"[paths] sample_times: {ts[-1]} is past [run] t_final = {T}, "
                 "where the dynamics path ends"
             )
-    path = _frozen_path(cfg, "paths")
+    path = _frozen_path(cfg, mode)
     state0 = cfg.initial_state()
     walks = kernel_mod.sample_paths(
         cfg.params, path, state0.p, ts, n_paths, _seed(cfg, args)
@@ -449,7 +457,7 @@ def cmd_particles(cfg: RunConfig, args) -> int:
     state0 = cfg.initial_state()
     n = cfg.get("particles", "n", 10000)
     dt = cfg.get("particles", "dt", 1e-3)
-    T = cfg.get("particles", "t_final", cfg.get("run", "t_final", 5.0))
+    T = cfg.get("particles", "t_final", _t_final(cfg))
     seed = _seed(cfg, args)
     log = run_particles(
         cfg.params, state0.p, state0.L, state0.M, n, T, dt, seed,

@@ -344,7 +344,7 @@ def _band(params, a_list, b_list, p, L, M, dt):
     size = len(a_list)
     c = params.c
     # e^{cL} and e^{-cM} at the no-explosion bounds; out of range, the band
-    # is the window and the steps raise RateOverflow
+    # is the window and nothing is dropped
     up_exp = c * (L + params.C_lambda * dt)
     down_exp = -c * (M - params.C_mu * dt)
     if max(up_exp, down_exp) > EXP_LIMIT:

@@ -40,11 +40,12 @@ from .model import ModelParams, rate_arrays
 # lambda_dom * tau above which e^{-lambda_dom tau} underflows; the scale
 # against which the benchmark tracer reports each substep's stiffness
 UNIFORMIZATION_LIMIT = 700.0
-# dyson_series' caps: floats in one array of its K + 1 jump-count terms
-# (80 MB; three are held at once), and multiply-adds of its n x n matmuls
-# (7-25 s at the 4-14 GMAC/s one 2-core host reached on 17-51 sites)
+# dyson_series' cap on floats in one array of its K + 1 jump-count terms
+# (80 MB; three are held at once), and the cap of propagate and
+# dyson_series on the multiply-adds of their n x n matmuls (7-25 s at the
+# 4-14 GMAC/s one 2-core host reached on 17-51 sites)
 _DYSON_MAX_FLOATS = 1e7
-_DYSON_MAX_MADDS = 1e11
+_MAX_MADDS = 1e11
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,8 @@ def propagate(
     each with the generator frozen at the substep midpoint.  All substeps
     have one length tau, and a substep whose frozen (L, M) equal the
     previous substep's reuses its matrix, so on a constant path one
-    exponential serves every substep."""
+    exponential serves every substep.  Work estimated above _MAX_MADDS
+    raises ValueError before any exponential is built."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if substeps < 1:
@@ -234,11 +236,30 @@ def propagate(
     for a, b in zip(edges[:-1], edges[1:]):
         L, M = path.at(0.5 * (a + b))
         if frozen != (L, M):
-            frozen = (L, M)
             gen = Generator(window, *rate_arrays(params, L, M, window))
+            if frozen is None:
+                _check_propagate_work(gen, tau, substeps, path.times.size == 1)
+            frozen = (L, M)
             step = _transition_matrix(gen, tau)
         P = P @ step
     return Kernel(window=window, rows=P)
+
+
+def _check_propagate_work(gen: Generator, tau: float, substeps: int, one_knot: bool):
+    """Raise ValueError when propagate's matmuls, from its first substep's
+    generator gen, are estimated above _MAX_MADDS: (7 + s) n^3 multiply-adds
+    per exponential, s its squarings, one exponential on a one-knot path
+    and one per substep on any other, and n^3 per product."""
+    n = gen.window.size
+    s, _ = _base_step(gen.max_rate * tau, tau)
+    exponentials = 1 if one_knot else substeps
+    madds = (exponentials * (_TAYLOR_DEGREE + s) + substeps) * n**3
+    if madds > _MAX_MADDS:
+        raise ValueError(
+            f"propagate on {n} sites needs about {madds:.3g} multiply-adds for "
+            f"{exponentials} exponential(s) of {s} squarings and {substeps} products, "
+            f"above {_MAX_MADDS:g}"
+        )
 
 
 def dyson_series(
@@ -263,7 +284,7 @@ def dyson_series(
     every level.  Term k never reads a higher term and s depends only on
     lambda_dom * tau, so each partial sum equals the one a call for its
     own k_max alone gives.  A K whose term arrays or matmuls pass
-    _DYSON_MAX_FLOATS or _DYSON_MAX_MADDS raises ValueError before any
+    _DYSON_MAX_FLOATS or _MAX_MADDS raises ValueError before any
     of them is made."""
     if not k_maxes or min(k_maxes) < 0:
         raise ValueError("k_maxes must be a nonempty list of ints >= 0")
@@ -286,10 +307,10 @@ def dyson_series(
         )
     # the base stage takes (K + 7) K matmuls, each of s doublings K (K - 1) / 2
     matmuls = (K + 7) * K + s * K * (K - 1) // 2
-    if matmuls * n**3 > _DYSON_MAX_MADDS:
+    if matmuls * n**3 > _MAX_MADDS:
         raise ValueError(
             f"k_max = {K} on {n} sites needs {matmuls} matmuls of {n} x {n} "
-            f"({matmuls * n**3:.3g} multiply-adds), above {_DYSON_MAX_MADDS:g}"
+            f"({matmuls * n**3:.3g} multiply-adds), above {_MAX_MADDS:g}"
         )
     w0 = 1.0 + D / lam_dom  # diagonal of W0, in [0, 1]
     U = (gen.as_matrix() - np.diag(D)) / lam_dom

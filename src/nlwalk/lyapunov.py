@@ -83,20 +83,19 @@ def entropy_H(p: LatticeMeasure, s: float, c: float) -> float:
     return float(np.sum(v * (np.log(v) + c * (s - n) ** 2)))
 
 
-def W_value(state: SystemState, K: float, c: float) -> float:
-    """W = H + c(2Ks - 3s^2), summed as (H + 2Ks*c) - 3s^2*c, so that
-    c = 1 gives the bits of H + 2Ks - 3s^2."""
-    s = state.s
-    return entropy_H(state.p, s, c) + 2.0 * K * s * c - 3.0 * s * s * c
+def W_value(H: float, s: float, K: float, c: float) -> float:
+    """W = H + c(2Ks - 3s^2) from the entropy H at s, summed as
+    (H + 2Ks*c) - 3s^2*c, so that c = 1 gives the bits of H + 2Ks - 3s^2."""
+    return H + 2.0 * K * s * c - 3.0 * s * s * c
 
 
-def annotate(params: ModelParams, log: TrajectoryLog) -> TrajectoryLog:
-    """Fill Q, H, W on every sample (in place); W uses K from t = 0."""
-    K0 = log.samples[0].K
-    for s in log.samples:
-        s.Q = Q_value(params, s.state)
-        s.H = entropy_H(s.state.p, s.state.s, params.c)
-        s.W = W_value(s.state, K0, c=params.c)
+def annotate(log: TrajectoryLog) -> TrajectoryLog:
+    """Fill each sample's Q, H, and W from that H and K(0), in place."""
+    params, K0 = log.params, log.samples[0].K
+    for smp in log.samples:
+        smp.Q = Q_value(params, smp.state)
+        smp.H = entropy_H(smp.state.p, smp.state.s, params.c)
+        smp.W = W_value(smp.H, smp.state.s, K0, params.c)
     return log
 
 
@@ -119,7 +118,7 @@ def monitor(log: TrajectoryLog) -> MonitorReport:
     """
     params = log.params
     if any(s.W is None for s in log.samples):
-        annotate(params, log)
+        annotate(log)
     samples = log.samples
     violations, max_violation = W_increases([s.W for s in samples])
 

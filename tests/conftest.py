@@ -46,7 +46,7 @@ def bench_log_T20(bench_params, bench_state0):
         20.0,
         IntegratorConfig(dt_init=2.5e-4, n_samples=201),
     )
-    return annotate(bench_params, log)
+    return annotate(log)
 
 
 # One visible pass/fail line per acceptance criterion in the terminal

@@ -604,7 +604,6 @@ class TestOtherCommands:
             p=LatticeMeasure.delta(0, Window.symmetric(12)), L=1.3, M=-0.4
         )
         log = annotate(
-            ModelParams(),
             integrate(
                 ModelParams(), state0, 1.0,
                 IntegratorConfig(dt_init=0.001, n_samples=11),
@@ -883,6 +882,27 @@ def test_sample_paths_on_the_dynamics_path_is_pinned(tmp_path):
         "c11acf1c2750db1290b5ad919d894c915f18764cc8ec464b5872909b5e6ca204"
     )
 
+
+def test_simulate_certificate_columns_are_pinned(tmp_path):
+    # integrate -> annotate -> monitor -> the writers on the README config
+    # over [0, 1]: a change that moves a byte of Q, H, W or the report
+    # fails here
+    text = README_CONFIG.replace("t_final = 20.0", "t_final = 1.0").replace(
+        "n_samples = 201", "n_samples = 21"
+    )
+    cfg = write_config(tmp_path, text, "bench.ini")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trajectory.csv", "summary.json")
+    }
+    assert digests == {
+        "trajectory.csv": "214e63c3acf9ea53cb617ea3b76bb60dc32a874fd9175e4c47c1b107801ff45b",
+        "summary.json": "b20e9a8a15d1ba3fe53df1083fdc1d9619fc8ef1c1d53d792898ae38215250ef",
+    }
+
+
 # each beta profile with none of the optional keys set: the config builds
 # the library objects at their own defaults, as the README session does
 @pytest.mark.parametrize("profile, beta", [
@@ -894,6 +914,32 @@ def test_keys_left_out_take_the_library_defaults(tmp_path, profile, beta):
     cfg = load_config(write_config(tmp_path, f"[model]\n{profile}\n"))
     assert cfg.params == ModelParams(beta=beta)
     assert cfg.integrator() == IntegratorConfig()
+
+
+def test_particles_without_t_final_runs_to_the_run_default(tmp_path):
+    # neither [particles] t_final nor [run] t_final set: particles runs to
+    # the 20.0 that simulate integrates to
+    text = README_CONFIG.replace("t_final = 20.0\n", "")
+    text += "\n[particles]\nn = 50\ndt = 0.004\n"
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, text, "bench.ini")
+    assert main(["particles", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "particles.json").read_text())
+    assert (payload["t_final"], payload["steps"]) == (20.0, 5000)
+
+
+@pytest.mark.parametrize("command, section, extra", [
+    ("kernel-check", "kernel", "k_max = 2"),
+    ("sample-paths", "paths", "sample_times = 0.0, 0.5"),
+], ids=["kernel", "paths"])
+def test_unknown_path_mode_is_named(tmp_path, capsys, command, section, extra):
+    # the mode is read and checked once, before any rule that reads it:
+    # k_max with path = foo names the mode, not the Dyson series' rule
+    text = BASE + f"\n[{section}]\npath = foo\n{extra}\n"
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: unknown path mode 'foo' in [{section}]"]
 
 
 def test_particles_without_n_samples_writes_the_library_default(tmp_path):

@@ -29,6 +29,7 @@ from nlwalk import (
     total_variation,
 )
 from nlwalk import dynamics
+from nlwalk.cli import main
 from nlwalk.dynamics import (
     MASS_TOL,
     NEG_TOL,
@@ -433,6 +434,24 @@ class TestBand:
             G = Generator(window, *rate_arrays(params, L_t, M_t, window)).as_matrix()
             q = p @ expm(dt * G)
             assert q[:lo].sum() + q[hi:].sum() <= bound
+
+    def test_start_past_the_exponent_range_takes_the_window(
+        self, bench_params, bench_window, tmp_path, capsys
+    ):
+        # the README config at l0 = 699.95: over the first interval (0.1)
+        # c(L + C_lambda dt) passes EXP_LIMIT, so the band is the whole
+        # window with nothing dropped, and simulate ends as a numerical
+        # failure, one error line and exit 4.  The config's other keys
+        # are the README's, which are the defaults
+        p = LatticeMeasure.delta(0, bench_window).values
+        a_vec, b_vec = rate_arrays(bench_params, 0.0, 0.0, bench_window)
+        band = _band(bench_params, a_vec.tolist(), b_vec.tolist(), p, 699.95, -0.4, 0.1)
+        assert band == (0, 51, 0.0)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[initial]\np = delta:0\nl0 = 699.95\nm0 = -0.4\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_rate_weight_keeps_a_fast_site(self, bench_params):
         # 1e-16 of mass at n = -25, where lambda * dt is about 1e10, carries

@@ -202,6 +202,19 @@ class TestPropagate:
         with np.errstate(over="ignore"), pytest.raises(RateOverflow):
             propagate(params, FrozenPath.constant(697.0, 0.0), 0.0, 1.0, Window.symmetric(3), 5)
 
+    def test_refuses_work_above_the_cap(self, monkeypatch):
+        # on [-200, 200] each substep exponential takes 295 squarings of
+        # 401 x 401: a two-knot path builds one per substep, about 1e12
+        # multiply-adds over 50 substeps, and is refused before the first
+        def refuse(gen, tau):
+            raise AssertionError("built an exponential before the refusal")
+
+        monkeypatch.setattr("nlwalk.kernel._transition_matrix", refuse)
+        path = FrozenPath(np.array([0.0, 1.0]), np.array([1.3, 0.2]), np.array([-0.4, 0.5]))
+        with pytest.raises(ValueError, match=r"401 sites needs about 9\.77e\+11 multiply-adds "
+                           r"for 50 exponential\(s\) of 295 squarings .* above 1e\+11"):
+            propagate(PARAMS, path, 0.0, 1.0, Window.symmetric(200), substeps=50)
+
     def test_continuity_in_span(self):
         # window kept small so the edge rates do not saturate the max-abs
         # norm at 1 over the tested spans

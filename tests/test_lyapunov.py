@@ -118,16 +118,20 @@ class TestH:
         assert total_variation(p, discrete_gaussian(1.0, 0.3, w)) < 1e-8
 
 
+def _W(state, K, c):
+    return W_value(entropy_H(state.p, state.s, c), state.s, K, c)
+
+
 class TestW:
     def test_delta_zero_state(self):
         state = SystemState(p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0, M=0)
-        assert W_value(state, K=0.0, c=1.0) == 0.0
+        assert _W(state, K=0.0, c=1.0) == 0.0
 
     def test_fixed_point_value(self):
         params = ModelParams()
         fp = fixed_point(params, 0.0, Window.symmetric(25))
         state = SystemState(p=fp.pi, L=fp.L_s, M=fp.M_s)
-        assert W_value(state, K=0.0, c=1.0) == pytest.approx(-LN_XI, rel=1e-12)
+        assert _W(state, K=0.0, c=1.0) == pytest.approx(-LN_XI, rel=1e-12)
 
     def test_unit_c_keeps_the_bits_of_the_c1_formula(self):
         w = Window.symmetric(8)
@@ -139,11 +143,34 @@ class TestW:
             )
             K, s = r.uniform(-3, 3), state.s
             expected = entropy_H(state.p, s, 1.0) + 2.0 * K * s - 3.0 * s * s
-            assert W_value(state, K, c=1.0) == expected
+            assert _W(state, K, c=1.0) == expected
 
     def test_certified_requires_unit_c(self):
         state = SystemState(p=LatticeMeasure.delta(0, Window.symmetric(5)), L=0, M=0)
-        assert math.isfinite(W_value(state, K=0.0, c=2.0))
+        assert math.isfinite(_W(state, K=0.0, c=2.0))
+
+
+class TestAnnotate:
+    def test_one_entropy_sum_per_sample(self, bench_state0, monkeypatch):
+        # annotate reads its params from the log, sums each sample's
+        # entropy once and forms W from that H: the bits of W_value on
+        # entropy_H at the log's c
+        params = ModelParams(c=0.5)
+        log = integrate(params, bench_state0, 1.0, IntegratorConfig(n_samples=11))
+        calls = []
+
+        def spy(p, s, c):
+            calls.append(c)
+            return entropy_H(p, s, c)
+
+        monkeypatch.setattr("nlwalk.lyapunov.entropy_H", spy)
+        annotate(log)
+        assert calls == [0.5] * len(log.samples)
+        K0 = log.samples[0].K
+        for smp in log.samples:
+            assert smp.H == entropy_H(smp.state.p, smp.state.s, 0.5)
+            assert smp.W == _W(smp.state, K0, 0.5)
+            assert smp.Q == Q_value(params, smp.state)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +181,7 @@ def short_log(bench_params, bench_state0):
         3.0,
         IntegratorConfig(dt_init=1e-3, n_samples=31),
     )
-    return annotate(bench_params, log)
+    return annotate(log)
 
 
 def _W_rises(c, beta, n0, L0, M0):
@@ -163,7 +190,7 @@ def _W_rises(c, beta, n0, L0, M0):
     w = Window.symmetric(25)
     params = ModelParams(c=c, beta=ConstantBeta(beta))
     state0 = SystemState(p=LatticeMeasure.delta(n0, w), L=L0, M=M0)
-    log = annotate(params, integrate(params, state0, 8.0, IntegratorConfig(n_samples=161)))
+    log = annotate(integrate(params, state0, 8.0, IntegratorConfig(n_samples=161)))
     K0 = log.samples[0].K
     unscaled = [
         entropy_H(smp.state.p, smp.state.s, c) + 2.0 * K0 * smp.state.s - 3.0 * smp.state.s ** 2
