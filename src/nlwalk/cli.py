@@ -385,14 +385,17 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
     # the series refuses a k_max it cannot hold before any exponential is built
     sums = (kernel_mod.dyson_series(cfg.params, *path.at(t0), t0, t1, cfg.window, k_maxes)
             if k_maxes else [])
-    P = kernel_mod.propagate(cfg.params, path, t0, t1, cfg.window, substeps)
+    # one store of substep exponentials for P and every split's A and B,
+    # dropped when the command returns
+    exps = {}
+    P = kernel_mod.propagate(cfg.params, path, t0, t1, cfg.window, substeps, exps=exps)
     ck_dev = 0.0
     for tm in splits:
         frac = (tm - t0) / (t1 - t0)
         sub_a = max(1, round(substeps * frac))
-        A = kernel_mod.propagate(cfg.params, path, t0, tm, cfg.window, sub_a)
+        A = kernel_mod.propagate(cfg.params, path, t0, tm, cfg.window, sub_a, exps=exps)
         B = kernel_mod.propagate(
-            cfg.params, path, tm, t1, cfg.window, max(1, substeps - sub_a)
+            cfg.params, path, tm, t1, cfg.window, max(1, substeps - sub_a), exps=exps
         )
         ck_dev = max(ck_dev, float(np.abs(A.rows @ B.rows - P.rows).max()))
     payload = {

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import NumericalError, PositivityLost, RateOverflow, StepSizeUnderflow
 from .lattice import LatticeMeasure, Window
-from .model import EXP_LIMIT, ModelParams, rate_arrays
+from .model import EXP_LIMIT, ModelParams, check_rate_exponents, rate_arrays
 
 MASS_TOL = 1e-9
 NEG_TOL = 1e-9
@@ -393,9 +393,9 @@ def integrate(
     from the window centre; tiny negatives are then clipped and the
     measure renormalized once per sample.  Raises
     PositivityLost / StepSizeUnderflow on tolerance violations and
-    RateOverflow when (L, M) leaves the range representable on the window
-    (the no-explosion bounds L <= L0 + C_lambda*t, M >= M0 - C_mu*t say
-    how far that can go).  Each interval's steps run on its band (see the
+    RateOverflow when (L, M) leaves the range representable on the window,
+    a start outside it before the first step (the no-explosion bounds
+    L <= L0 + C_lambda*t, M >= M0 - C_mu*t say how far that can go).  Each interval's steps run on its band (see the
     module docstring); the log keeps the widest band and the largest
     truncation bound.
     """
@@ -439,6 +439,8 @@ def integrate(
     p = record(ts[0], state0.p.values.copy(), state0.L, state0.M)
     if T == 0:
         return log
+    # a start whose own rates are out of range is refused before any step
+    check_rate_exponents(params, state0.L, state0.M, window)
     a_vec, b_vec = rate_arrays(params, ref, ref, window)
     if not (np.isfinite(a_vec).all() and np.isfinite(b_vec).all()):
         raise RateOverflow("jump rates overflowed on the window")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, List, Sequence, Tuple
+from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,11 +40,12 @@ from .model import ModelParams, rate_arrays
 # lambda_dom * tau above which e^{-lambda_dom tau} underflows; the scale
 # against which the benchmark tracer reports each substep's stiffness
 UNIFORMIZATION_LIMIT = 700.0
-# dyson_series' cap on floats in one array of its K + 1 jump-count terms
-# (80 MB; three are held at once), and the cap of propagate and
+# the cap on floats in one array of dyson_series' K + 1 jump-count terms
+# (80 MB; three are held at once) and in the exponentials propagate
+# keeps in a caller's store, and the cap of propagate and
 # dyson_series on the multiply-adds of their n x n matmuls (7-25 s at the
 # 4-14 GMAC/s one 2-core host reached on 17-51 sites)
-_DYSON_MAX_FLOATS = 1e7
+_MAX_FLOATS = 1e7
 _MAX_MADDS = 1e11
 
 
@@ -214,13 +215,26 @@ def propagate(
     t1: float,
     window: Window,
     substeps: int = 1,
+    exps: Optional[Dict[Tuple[float, float, float], np.ndarray]] = None,
 ) -> Kernel:
     """P(t0, t1) as a fixed-order product of per-substep exponentials,
     each with the generator frozen at the substep midpoint.  All substeps
     have one length tau, and a substep whose frozen (L, M) equal the
     previous substep's reuses its matrix, so on a constant path one
-    exponential serves every substep.  Work estimated above _MAX_MADDS
-    raises ValueError before any exponential is built."""
+    exponential serves every substep.
+
+    exps, when given, is a store the caller owns for calls on one params
+    and window: it maps (L, M, tau), the floats path.at returns at a
+    midpoint and the substep length, to exp(tau G(L, M)).  A substep whose
+    key it holds multiplies by that matrix, which is the one its own
+    exponential would be, so the kernel is unchanged to the bit.  A new
+    exponential is stored while the store then holds at most _MAX_FLOATS
+    floats; past that it is built and not kept.
+
+    Work estimated above _MAX_MADDS raises ValueError before any
+    exponential is built.  The estimate is made from the first substep's
+    generator whether or not the store holds it, and counts every
+    exponential as built, so it bounds the work from above."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if substeps < 1:
@@ -235,12 +249,18 @@ def propagate(
     frozen = None
     for a, b in zip(edges[:-1], edges[1:]):
         L, M = path.at(0.5 * (a + b))
-        if frozen != (L, M):
-            gen = Generator(window, *rate_arrays(params, L, M, window))
-            if frozen is None:
-                _check_propagate_work(gen, tau, substeps, path.times.size == 1)
-            frozen = (L, M)
-            step = _transition_matrix(gen, tau)
+        key = (L, M, tau)
+        if frozen != key:
+            step = None if exps is None else exps.get(key)
+            if step is None or frozen is None:
+                gen = Generator(window, *rate_arrays(params, L, M, window))
+                if frozen is None:
+                    _check_propagate_work(gen, tau, substeps, path.times.size == 1)
+            if step is None:
+                step = _transition_matrix(gen, tau)
+                if exps is not None and (len(exps) + 1) * step.size <= _MAX_FLOATS:
+                    exps[key] = step
+            frozen = key
         P = P @ step
     return Kernel(window=window, rows=P)
 
@@ -249,7 +269,8 @@ def _check_propagate_work(gen: Generator, tau: float, substeps: int, one_knot: b
     """Raise ValueError when propagate's matmuls, from its first substep's
     generator gen, are estimated above _MAX_MADDS: (7 + s) n^3 multiply-adds
     per exponential, s its squarings, one exponential on a one-knot path
-    and one per substep on any other, and n^3 per product."""
+    and one per substep on any other, and n^3 per product.  A substep that
+    reuses a stored exponential builds none, so this is an upper bound."""
     n = gen.window.size
     s, _ = _base_step(gen.max_rate * tau, tau)
     exponentials = 1 if one_knot else substeps
@@ -284,7 +305,7 @@ def dyson_series(
     every level.  Term k never reads a higher term and s depends only on
     lambda_dom * tau, so each partial sum equals the one a call for its
     own k_max alone gives.  A K whose term arrays or matmuls pass
-    _DYSON_MAX_FLOATS or _MAX_MADDS raises ValueError before any
+    _MAX_FLOATS or _MAX_MADDS raises ValueError before any
     of them is made."""
     if not k_maxes or min(k_maxes) < 0:
         raise ValueError("k_maxes must be a nonempty list of ints >= 0")
@@ -300,10 +321,10 @@ def dyson_series(
     lam_dom = gen.max_rate * (1.0 + 1e-12) + 1e-300
     s, h = _base_step(lam_dom * tau, tau)
     K = max(k_maxes)
-    if (K + 1) * n * n > _DYSON_MAX_FLOATS:
+    if (K + 1) * n * n > _MAX_FLOATS:
         raise ValueError(
             f"k_max = {K} on {n} sites needs {(K + 1) * n * n:.3g} floats per term "
-            f"array, above {_DYSON_MAX_FLOATS:g}"
+            f"array, above {_MAX_FLOATS:g}"
         )
     # the base stage takes (K + 7) K matmuls, each of s doublings K (K - 1) / 2
     matmuls = (K + 7) * K + s * K * (K - 1) // 2

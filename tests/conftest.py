@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlwalk.kernel
 from nlwalk import (
     IntegratorConfig,
     LatticeMeasure,
@@ -47,6 +48,19 @@ def bench_log_T20(bench_params, bench_state0):
         IntegratorConfig(dt_init=2.5e-4, n_samples=201),
     )
     return annotate(log)
+
+
+@pytest.fixture
+def count_exponentials(monkeypatch):
+    """A list that gets one entry, its tau, per substep exponential built."""
+    built, transition_matrix = [], nlwalk.kernel._transition_matrix
+
+    def spy(gen, tau):
+        built.append(tau)
+        return transition_matrix(gen, tau)
+
+    monkeypatch.setattr(nlwalk.kernel, "_transition_matrix", spy)
+    return built
 
 
 # One visible pass/fail line per acceptance criterion in the terminal

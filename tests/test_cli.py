@@ -903,6 +903,95 @@ def test_simulate_certificate_columns_are_pinned(tmp_path):
     }
 
 
+# the two kernel-check configs of the `kernel` benchmark workload, written
+# out here: the README config on [-8, 8], first along the dynamics path
+# with Chapman-Kolmogorov splits, then on the constant path with Dyson sums
+KERNEL_HEAD = """
+[model]
+c = 1.0
+c_lambda = 1.0
+c_mu = 1.0
+beta = constant
+beta_value = 1.0
+
+[window]
+m = 8
+
+[initial]
+p = delta:0
+l0 = 1.3
+m0 = -0.4
+
+[integrator]
+method = splitting
+dt_init = 1e-3
+n_samples = 201
+"""
+KERNEL_CONFIGS = {
+    "dynamics": KERNEL_HEAD + """
+[run]
+t_final = 1.0
+seed = 1
+
+[kernel]
+path = dynamics
+t0 = 0.0
+t1 = 1.0
+substeps = 50
+splits = 0.2,0.5,0.8
+""",
+    "constant": KERNEL_HEAD + """
+[run]
+t_final = 20.0
+seed = 1
+
+[kernel]
+path = constant
+t0 = 0.0
+t1 = 0.1
+substeps = 10
+k_max = 2,4,6
+""",
+}
+
+
+@pytest.mark.parametrize("mode, digests", [
+    ("dynamics", {
+        "kernel.csv": "ff876181e848f493ec3573c2029fac402b1bfd826e96110cefa4ef359e96c634",
+        "kernel_check.json": "3cf47164f8fbb476e2c4114ab34ea2fedaab6cebd6b8211112d7e476e1a0eb94",
+    }),
+    ("constant", {
+        "kernel.csv": "3ec972bf9d0546daeb30bcea78a0698fb88956b115a4b836ae4b2f63bd6c2638",
+        "kernel_check.json": "1266e9c71255bb6513b10aade467179076fe794217602898f087322078650474",
+    }),
+])
+def test_kernel_check_artifacts_are_pinned(tmp_path, mode, digests):
+    # integrate -> propagate (P and the splits' A and B) -> dyson_series ->
+    # the writers: a change that moves a byte of the kernel, its CK
+    # deviation or a Dyson distance fails here
+    cfg = write_config(tmp_path, KERNEL_CONFIGS[mode], "kernel.ini")
+    out = tmp_path / "o"
+    assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
+def test_kernel_check_builds_each_distinct_exponential_once(tmp_path, count_exponentials):
+    # P takes 50 substeps of 0.02 and the splits at 0.2, 0.5, 0.8 another
+    # 150 of the same length at P's own midpoints; 23 of B's midpoints
+    # differ from P's in the last bit, so 73 exponentials are built, not
+    # 200.  The constant path builds one.  The store lives for one command:
+    # a second run builds its own 73
+    dynamics = write_config(tmp_path, KERNEL_CONFIGS["dynamics"], "dynamics.ini")
+    constant = write_config(tmp_path, KERNEL_CONFIGS["constant"], "constant.ini")
+    counts = []
+    for cfg in (dynamics, constant, dynamics):
+        count_exponentials.clear()
+        assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        counts.append(len(count_exponentials))
+    assert counts == [73, 1, 73]
+
+
 # each beta profile with none of the optional keys set: the config builds
 # the library objects at their own defaults, as the README session does
 @pytest.mark.parametrize("profile, beta", [

@@ -453,6 +453,24 @@ class TestBand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_start_past_the_exponent_range_is_refused_before_any_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at l0 = 699.95 the start's own rate exponent c(L - n_min) passes
+        # EXP_LIMIT, so integrate refuses it as rate_arrays would, naming
+        # (L, M), and halves no step
+        def step(*args, **kwargs):
+            raise AssertionError("stepped before the refusal")
+
+        monkeypatch.setattr(dynamics, "_extrapolated_step", step)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[initial]\np = delta:0\nl0 = 699.95\nm0 = -0.4\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: rate exponent out of range on window Window(n_min=-25, size=51) "
+            "(L=699.95, M=-0.4)"
+        ]
+
     def test_rate_weight_keeps_a_fast_site(self, bench_params):
         # 1e-16 of mass at n = -25, where lambda * dt is about 1e10, carries
         # 1e-6 of the flow's sum p.a: the band keeps it although its mass

@@ -215,6 +215,66 @@ class TestPropagate:
                            r"for 50 exponential\(s\) of 295 squarings .* above 1e\+11"):
             propagate(PARAMS, path, 0.0, 1.0, Window.symmetric(200), substeps=50)
 
+    # (L, M) = (1.3, -0.4) on [0, 0.3], (0.2, 0.5) on [0.31, 0.6] and
+    # (1.3, -0.4) again from 0.61: over 10 substeps of 0.1 the midpoints
+    # read the first pair 3 times, the second 3, then the first 4
+    RETURNING = FrozenPath(
+        np.array([0.0, 0.3, 0.31, 0.6, 0.61, 1.0]),
+        np.array([1.3, 1.3, 0.2, 0.2, 1.3, 1.3]),
+        np.array([-0.4, -0.4, 0.5, 0.5, -0.4, -0.4]),
+    )
+
+    def test_store_builds_each_distinct_exponential_once(self, count_exponentials):
+        # without a store a run of equal midpoints shares one exponential
+        # and the return to (1.3, -0.4) builds it again, 3 in all; with
+        # one the return multiplies by the stored matrix, to the same bits
+        w = Window.symmetric(8)
+        P = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10)
+        assert len(count_exponentials) == 3
+        exps = {}
+        stored = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10, exps=exps)
+        assert len(count_exponentials) == 5
+        assert np.array_equal(stored.rows, P.rows)
+        assert set(exps) == {(1.3, -0.4, 0.1), (0.2, 0.5, 0.1)}
+        # a second call over the same midpoints builds none
+        again = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10, exps=exps)
+        assert len(count_exponentials) == 5
+        assert np.array_equal(again.rows, P.rows)
+
+    def test_without_a_store_every_substep_of_a_moving_path_builds(self, count_exponentials):
+        # one exponential per substep on a two-knot path, one on a constant
+        w = Window.symmetric(8)
+        path = FrozenPath(np.array([0.0, 1.0]), np.array([1.3, 0.2]), np.array([-0.4, 0.5]))
+        propagate(PARAMS, path, 0.0, 1.0, w, substeps=20)
+        propagate(PARAMS, PATH0, 0.0, 1.0, w, substeps=20)
+        assert len(count_exponentials) == 21
+
+    def test_capped_store_keeps_the_kernels(self, monkeypatch, readme_path):
+        # kernel-check's P and splits along the dynamics path, with a store
+        # capped at two exponentials: past the cap they are built and not
+        # kept, and every kernel is bitwise the uncapped one's
+        w = Window.symmetric(8)
+        spans = [(0.0, 1.0, 50), (0.0, 0.2, 10), (0.2, 1.0, 40), (0.0, 0.5, 25),
+                 (0.5, 1.0, 25), (0.0, 0.8, 40), (0.8, 1.0, 10)]
+        free, capped = {}, {}
+        uncapped = [propagate(PARAMS, readme_path, t0, t1, w, n, exps=free)
+                    for t0, t1, n in spans]
+        monkeypatch.setattr("nlwalk.kernel._MAX_FLOATS", 2 * w.size**2)
+        for (t0, t1, n), ref in zip(spans, uncapped):
+            K = propagate(PARAMS, readme_path, t0, t1, w, n, exps=capped)
+            assert np.array_equal(K.rows, ref.rows)
+            assert len(capped) <= 2
+        assert len(capped) == 2 and len(free) > 2
+
+    def test_stored_first_substep_is_still_work_checked(self, monkeypatch):
+        # the work estimate reads the first substep's generator even when
+        # the store holds its exponential, so the refusal does not change
+        w = Window.symmetric(8)
+        exps = {(L0, M0, 0.1): np.eye(w.size)}
+        monkeypatch.setattr("nlwalk.kernel._MAX_MADDS", 1.0)
+        with pytest.raises(ValueError, match="17 sites needs about"):
+            propagate(PARAMS, PATH0, 0.0, 1.0, w, substeps=10, exps=exps)
+
     def test_continuity_in_span(self):
         # window kept small so the edge rates do not saturate the max-abs
         # norm at 1 over the tested spans
