@@ -237,6 +237,19 @@ def _integrate(cfg: RunConfig) -> TrajectoryLog:
     return integrate(cfg.params, cfg.initial_state(), _t_final(cfg), cfg.integrator())
 
 
+def _check_on_dynamics_path(cfg: RunConfig, section: str, key: str, t: float) -> None:
+    """Refuse a time t of [section] key outside [0, [run] t_final]: the
+    dynamics path is integrated over that span and holds its end values
+    outside it, so it would not follow the dynamics there."""
+    if t < 0.0:
+        raise ConfigError(f"[{section}] {key}: {t} is before 0, where the dynamics path starts")
+    T = _t_final(cfg)
+    if t > T:
+        raise ConfigError(
+            f"[{section}] {key}: {t} is past [run] t_final = {T}, where the dynamics path ends"
+        )
+
+
 def _write_trajectory_csv(
     path: Path, log: TrajectoryLog, pi_star: Optional[LatticeMeasure]
 ) -> float:
@@ -371,6 +384,13 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
     t0 = cfg.get("kernel", "t0", 0.0)
     t1 = cfg.get("kernel", "t1", 1.0)
     substeps = cfg.get("kernel", "substeps", 50)
+    if t1 < t0:
+        raise ConfigError(f"[kernel] t1: {t1} is before t0 = {t0}")
+    if substeps < 1:
+        raise ConfigError(f"[kernel] substeps: must be >= 1, got {substeps}")
+    if mode == "dynamics":
+        _check_on_dynamics_path(cfg, "kernel", "t0", t0)
+        _check_on_dynamics_path(cfg, "kernel", "t1", t1)
     splits = cfg.get("kernel", "splits", [])
     for tm in splits:
         if not t0 < tm < t1:
@@ -433,12 +453,7 @@ def cmd_sample_paths(cfg: RunConfig, args) -> int:
             f"[paths] sample_times: the first must be 0, the time of [initial], got {ts[0]}"
         )
     if ts and mode == "dynamics":
-        T = _t_final(cfg)
-        if ts[-1] > T:
-            raise ConfigError(
-                f"[paths] sample_times: {ts[-1]} is past [run] t_final = {T}, "
-                "where the dynamics path ends"
-            )
+        _check_on_dynamics_path(cfg, "paths", "sample_times", ts[-1])
     path = _frozen_path(cfg, mode)
     state0 = cfg.initial_state()
     walks = kernel_mod.sample_paths(

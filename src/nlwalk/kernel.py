@@ -42,9 +42,10 @@ from .model import ModelParams, rate_arrays
 UNIFORMIZATION_LIMIT = 700.0
 # the cap on floats in one array of dyson_series' K + 1 jump-count terms
 # (80 MB; three are held at once) and in the exponentials propagate
-# keeps in a caller's store, and the cap of propagate and
-# dyson_series on the multiply-adds of their n x n matmuls (7-25 s at the
-# 4-14 GMAC/s one 2-core host reached on 17-51 sites)
+# keeps in its store, one call's or one a caller shares across calls;
+# and the cap of propagate and dyson_series on the multiply-adds of their
+# n x n matmuls (7-25 s at the 4-14 GMAC/s one 2-core host reached on
+# 17-51 sites)
 _MAX_FLOATS = 1e7
 _MAX_MADDS = 1e11
 
@@ -219,22 +220,24 @@ def propagate(
 ) -> Kernel:
     """P(t0, t1) as a fixed-order product of per-substep exponentials,
     each with the generator frozen at the substep midpoint.  All substeps
-    have one length tau, and a substep whose frozen (L, M) equal the
-    previous substep's reuses its matrix, so on a constant path one
-    exponential serves every substep.
+    have one length tau.
 
-    exps, when given, is a store the caller owns for calls on one params
-    and window: it maps (L, M, tau), the floats path.at returns at a
-    midpoint and the substep length, to exp(tau G(L, M)).  A substep whose
-    key it holds multiplies by that matrix, which is the one its own
-    exponential would be, so the kernel is unchanged to the bit.  A new
-    exponential is stored while the store then holds at most _MAX_FLOATS
-    floats; past that it is built and not kept.
+    exps is a store of substep exponentials for calls on one params and
+    window: it maps (L, M, tau), the floats path.at returns at a midpoint
+    and the substep length, to exp(tau G(L, M)).  None gives a fresh one
+    for this call only; a caller that passes its own shares it across
+    calls.  A substep whose key equals the previous substep's multiplies
+    by the same matrix again, so on a constant path one exponential serves
+    every substep.  Any other substep takes its matrix from the store, or
+    builds it and stores it while the store then holds at most _MAX_FLOATS
+    floats; past that it is built and not kept.  A stored matrix is the
+    one its own exponential would be, so the kernel is the same to the
+    bit whatever the store holds.
 
     Work estimated above _MAX_MADDS raises ValueError before any
     exponential is built.  The estimate is made from the first substep's
-    generator whether or not the store holds it, and counts every
-    exponential as built, so it bounds the work from above."""
+    generator whether or not the store holds it, and counts one
+    exponential per run of equal keys, so it bounds the work from above."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if substeps < 1:
@@ -246,39 +249,40 @@ def propagate(
     # one substep length for all: differences of the linspace edges
     # wobble in the last bit and would defeat the reuse
     tau = (t1 - t0) / substeps
-    frozen = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        L, M = path.at(0.5 * (a + b))
-        key = (L, M, tau)
-        if frozen != key:
-            step = None if exps is None else exps.get(key)
-            if step is None or frozen is None:
-                gen = Generator(window, *rate_arrays(params, L, M, window))
-                if frozen is None:
-                    _check_propagate_work(gen, tau, substeps, path.times.size == 1)
+    keys = [(*path.at(0.5 * (a + b)), tau) for a, b in zip(edges[:-1], edges[1:])]
+    runs = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    gen = Generator(window, *rate_arrays(params, *keys[0][:2], window))
+    _check_propagate_work(gen, tau, substeps, runs)
+    if exps is None:
+        exps = {}
+    previous = None
+    for key in keys:
+        if key != previous:
+            step = exps.get(key)
             if step is None:
+                gen = Generator(window, *rate_arrays(params, *key[:2], window))
                 step = _transition_matrix(gen, tau)
-                if exps is not None and (len(exps) + 1) * step.size <= _MAX_FLOATS:
+                if (len(exps) + 1) * step.size <= _MAX_FLOATS:
                     exps[key] = step
-            frozen = key
+            previous = key
         P = P @ step
     return Kernel(window=window, rows=P)
 
 
-def _check_propagate_work(gen: Generator, tau: float, substeps: int, one_knot: bool):
+def _check_propagate_work(gen: Generator, tau: float, substeps: int, runs: int):
     """Raise ValueError when propagate's matmuls, from its first substep's
     generator gen, are estimated above _MAX_MADDS: (7 + s) n^3 multiply-adds
-    per exponential, s its squarings, one exponential on a one-knot path
-    and one per substep on any other, and n^3 per product.  A substep that
-    reuses a stored exponential builds none, so this is an upper bound."""
+    per exponential, s its squarings, one exponential per run of equal
+    substep keys, and n^3 per product.  A run builds at most one
+    exponential and none when the store holds it, so this is an upper
+    bound."""
     n = gen.window.size
     s, _ = _base_step(gen.max_rate * tau, tau)
-    exponentials = 1 if one_knot else substeps
-    madds = (exponentials * (_TAYLOR_DEGREE + s) + substeps) * n**3
+    madds = (runs * (_TAYLOR_DEGREE + s) + substeps) * n**3
     if madds > _MAX_MADDS:
         raise ValueError(
             f"propagate on {n} sites needs about {madds:.3g} multiply-adds for "
-            f"{exponentials} exponential(s) of {s} squarings and {substeps} products, "
+            f"{runs} exponential(s) of {s} squarings and {substeps} products, "
             f"above {_MAX_MADDS:g}"
         )
 

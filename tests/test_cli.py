@@ -863,6 +863,38 @@ def test_sample_paths_refuses_times_the_start_and_path_do_not_cover(
     assert len(lines) == 1 and lines[0].startswith(message)
 
 
+@pytest.mark.parametrize("run, kernel, message", [
+    ("t_final = 0.5", "t1 = 1.0\nsplits = 0.5",
+     "error: [kernel] t1: 1.0 is past [run] t_final = 0.5"),
+    # [run] t_final left out: the 20.0 that simulate integrates to
+    ("seed = 1", "t1 = 25.0",
+     "error: [kernel] t1: 25.0 is past [run] t_final = 20.0"),
+    ("t_final = 1.0", "t0 = -1.0\nt1 = 1.0",
+     "error: [kernel] t0: -1.0 is before 0"),
+    ("t_final = 1.0", "t0 = 0.5\nt1 = 0.25",
+     "error: [kernel] t1: 0.25 is before t0 = 0.5"),
+    ("t_final = 1.0", "substeps = 0",
+     "error: [kernel] substeps: must be >= 1, got 0"),
+], ids=["past-t_final", "past-default-t_final", "before-0", "t1-before-t0", "substeps-0"])
+def test_kernel_check_refuses_spans_the_dynamics_path_does_not_cover(
+    tmp_path, capsys, monkeypatch, run, kernel, message
+):
+    # outside [0, [run] t_final] the dynamics path holds its end values,
+    # and a reversed span or no substeps has no kernel: each is refused
+    # before anything is integrated
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before the refusal")
+
+    monkeypatch.setattr("nlwalk.cli.integrate", integrate)
+    text = README_CONFIG.replace("t_final = 20.0\n", "").replace(
+        "seed = 1", run
+    ) + f"\n[kernel]\npath = dynamics\n{kernel}\n"
+    cfg = write_config(tmp_path, text, "bench.ini")
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+
+
 def test_sample_paths_on_the_dynamics_path_is_pinned(tmp_path):
     # the whole chain integrate -> sample_paths -> write_paths_csv on the
     # README config, past one chunk of paths: a change to any of them that

@@ -225,20 +225,20 @@ class TestPropagate:
     )
 
     def test_store_builds_each_distinct_exponential_once(self, count_exponentials):
-        # without a store a run of equal midpoints shares one exponential
-        # and the return to (1.3, -0.4) builds it again, 3 in all; with
-        # one the return multiplies by the stored matrix, to the same bits
+        # a call without a store keeps its own for the call, so the return
+        # to (1.3, -0.4) multiplies by the matrix built for the first run:
+        # 2 exponentials, and a caller's store gives the same bits
         w = Window.symmetric(8)
         P = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10)
-        assert len(count_exponentials) == 3
+        assert len(count_exponentials) == 2
         exps = {}
         stored = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10, exps=exps)
-        assert len(count_exponentials) == 5
+        assert len(count_exponentials) == 4
         assert np.array_equal(stored.rows, P.rows)
         assert set(exps) == {(1.3, -0.4, 0.1), (0.2, 0.5, 0.1)}
         # a second call over the same midpoints builds none
         again = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10, exps=exps)
-        assert len(count_exponentials) == 5
+        assert len(count_exponentials) == 4
         assert np.array_equal(again.rows, P.rows)
 
     def test_without_a_store_every_substep_of_a_moving_path_builds(self, count_exponentials):
@@ -248,6 +248,26 @@ class TestPropagate:
         propagate(PARAMS, path, 0.0, 1.0, w, substeps=20)
         propagate(PARAMS, PATH0, 0.0, 1.0, w, substeps=20)
         assert len(count_exponentials) == 21
+
+    def test_work_estimate_counts_runs_of_equal_keys(self, monkeypatch, count_exponentials):
+        # past its last knot a two-knot path holds (0.2, 0.5): on [2, 3]
+        # all 10 midpoints give one key, one run.  At its 19 squarings of
+        # 17 x 17 over tau = 0.1 the estimate is (26 + 10) 17^3 = 1.8e5
+        # multiply-adds for 1 exponential and (260 + 10) 17^3 = 1.3e6 for
+        # 10; under a cap of 7.5e5 between them the held span runs and
+        # builds 1, and the moving span [0, 1] is refused
+        w = Window.symmetric(8)
+        path = FrozenPath(np.array([0.0, 1.0]), np.array([1.3, 0.2]), np.array([-0.4, 0.5]))
+        reference = propagate(PARAMS, FrozenPath.constant(0.2, 0.5), 2.0, 3.0, w, substeps=10)
+        count_exponentials.clear()
+        monkeypatch.setattr("nlwalk.kernel._MAX_MADDS", 7.5e5)
+        held = propagate(PARAMS, path, 2.0, 3.0, w, substeps=10)
+        assert len(count_exponentials) == 1
+        assert np.array_equal(held.rows, reference.rows)
+        with pytest.raises(ValueError, match=r"17 sites needs about 1\.42e\+06 multiply-adds "
+                           r"for 10 exponential\(s\) of 21 squarings"):
+            propagate(PARAMS, path, 0.0, 1.0, w, substeps=10)
+        assert len(count_exponentials) == 1
 
     def test_capped_store_keeps_the_kernels(self, monkeypatch, readme_path):
         # kernel-check's P and splits along the dynamics path, with a store
