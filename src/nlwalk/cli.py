@@ -446,13 +446,21 @@ def cmd_sample_paths(cfg: RunConfig, args) -> int:
     mode = _path_mode(cfg, "paths")
     n_paths = cfg.get("paths", "n_paths", 1000)
     ts = cfg.get("paths", "sample_times", [0.0, 1.0])
+    # refused before the dynamics path is integrated: times out of order
+    # (the config refuses non-finite ones) and a negative path count
+    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ConfigError(
+            f"[paths] sample_times: must be nonempty and strictly increasing, got {ts}"
+        )
+    if n_paths < 0:
+        raise ConfigError(f"[paths] n_paths: must be >= 0, got {n_paths}")
     # the start positions are drawn from [initial] p, the law at t = 0, and
     # the dynamics path is held at its end values past [run] t_final
-    if ts and ts[0] != 0.0:
+    if ts[0] != 0.0:
         raise ConfigError(
             f"[paths] sample_times: the first must be 0, the time of [initial], got {ts[0]}"
         )
-    if ts and mode == "dynamics":
+    if mode == "dynamics":
         _check_on_dynamics_path(cfg, "paths", "sample_times", ts[-1])
     path = _frozen_path(cfg, mode)
     state0 = cfg.initial_state()

@@ -158,18 +158,25 @@ def conserved_K(state: SystemState) -> float:
     return state.L + state.M + ref + float(np.dot(state.window.sites() - ref, state.p.values))
 
 
+_lapack = None  # scipy.linalg.lapack, bound by the first eigensolve
+
+
 def eigh_tridiagonal(diag, off):
     """(w, U): the eigenvalues and the orthonormal eigenvectors (columns of
     U) of the symmetric tridiagonal matrix with diagonal diag and
     off-diagonal off, by LAPACK dstev (implicit QL/QR), called directly:
     scipy's eigh_tridiagonal(..., lapack_driver="stev") reaches the same
-    routine with the same arguments after its checks.  scipy is imported
-    on the first call, so that commands which solve no eigenproblem do not
-    load it.  dstev refuses a single site; every band has at least two.
+    routine with the same arguments after its checks.  scipy.linalg.lapack
+    is imported and bound on the first call, so that commands which solve
+    no eigenproblem do not load scipy; dstev is looked up on it at each
+    call.  dstev refuses a single site; every band has at least two.
     """
-    from scipy.linalg.lapack import dstev
+    global _lapack
+    if _lapack is None:
+        from scipy.linalg import lapack
 
-    w, U, info = dstev(diag, off, compute_v=1)
+        _lapack = lapack
+    w, U, info = _lapack.dstev(diag, off, compute_v=1)
     if info != 0:
         raise NumericalError(
             f"tridiagonal eigensolver did not converge (dstev info={info})"
@@ -180,19 +187,19 @@ def eigh_tridiagonal(diag, off):
 # ---------------------------------------------------------------------------
 # splitting steps, in coordinates relative to the window centre ref: L, M
 # and the sites n stand for L - ref, M - ref and n - ref, and a_vec, b_vec
-# are the rates at L = M = ref
+# are the rates at L = M = ref, whose maxima a_max, b_max are taken once per
+# sample interval
 
 
-def _zflow(params, a_vec, b_vec, p, L, M, h):
-    """Exact (L, M) flow over time h with the measure frozen."""
+def _zflow(params, A, B, L, M, h):
+    """Exact (L, M) flow over time h with the measure frozen; A = p.a and
+    B = p.b are the frozen measure's rate sums."""
     c = params.c
     if max(abs(c * L), abs(c * M)) > EXP_LIMIT:
         raise RateOverflow(
             f"barrier exponent out of range (L={L}, M={M} from the window "
             f"centre, c={c})"
         )
-    A = float(np.dot(p, a_vec))
-    B = float(np.dot(p, b_vec))
     # u = e^{-cL}: u' = c(A - C_lambda u); v = e^{cM}: v' = c(B - C_mu v).
     # Both terms of each update are positive, so no digits cancel when
     # A / C_lambda or B / C_mu is much larger than u or v.
@@ -205,7 +212,7 @@ def _zflow(params, a_vec, b_vec, p, L, M, h):
     return -math.log(u) / c, math.log(v) / c
 
 
-def _pflow(params, a_vec, b_vec, n, p, L, M, h):
+def _pflow(params, a_vec, b_vec, n, p, L, M, h, a_max, b_max):
     """Exact measure step over time h with (L, M) frozen.
 
     The truncated generator is reversible with respect to the discrete
@@ -218,53 +225,74 @@ def _pflow(params, a_vec, b_vec, n, p, L, M, h):
     up, down = math.exp(c * L), math.exp(-c * M)
     # the largest rate overflows exactly when some rate does (scalar
     # products, so no floating-point warning)
-    if math.isinf(float(a_vec.max()) * up) or math.isinf(float(b_vec.max()) * down):
+    if math.isinf(a_max * up) or math.isinf(b_max * down):
         raise RateOverflow("jump rates overflowed on the window")
     lam = a_vec * up
     mu = b_vec * down
-    diag = -(lam + mu)
-    off = np.sqrt(lam[:-1] * mu[1:])
-    s_bar = 0.5 * (L + M)
-    expo = 0.5 * c * (n - s_bar) ** 2
+    off = lam[:-1] * mu[1:]
+    np.sqrt(off, out=off)
+    diag = lam + mu
+    np.negative(diag, out=diag)
+    expo = n - 0.5 * (L + M)
+    np.square(expo, out=expo)
+    expo *= 0.5 * c
     # guard the conjugation against overflow: sites with a huge weight must
     # carry (essentially) no mass; they enter it with p = expo = 0 and
-    # read 0 after it
-    big = expo > EXP_LIMIT
-    far = big.any()
+    # read 0 after it.  (n - s)^2 is largest at a band end, and rounding
+    # keeps that order, so the ends tell whether any site is such
+    far = max(expo[0], expo[-1]) > EXP_LIMIT
     if far:
+        big = expo > EXP_LIMIT
         if np.abs(p[big]).max() > 1e-250:
             raise RateOverflow("measure mass too far from (L+M)/2 for the window")
         p = np.where(big, 0.0, p)
-        expo = np.where(big, 0.0, expo)
+        expo[big] = 0.0
     w, U = eigh_tridiagonal(diag, off)
     # q = p / sqrt(pi)
-    out = (U @ (np.exp(w * h) * (U.T @ (p * np.exp(expo))))) * np.exp(-expo)
+    q = np.exp(expo)
+    q *= p
+    w *= h
+    np.exp(w, out=w)
+    w *= U.T @ q
+    out = U @ w
+    np.negative(expo, out=expo)
+    out *= np.exp(expo, out=expo)
     if far:
         out[big] = 0.0
     return out
 
 
-def _strang_step(params, a_vec, b_vec, n, p, L, M, h):
-    L, M = _zflow(params, a_vec, b_vec, p, L, M, 0.5 * h)
-    p = _pflow(params, a_vec, b_vec, n, p, L, M, h)
-    L, M = _zflow(params, a_vec, b_vec, p, L, M, 0.5 * h)
-    return p, L, M
+def _strang_step(params, a_vec, b_vec, n, p, A, B, L, M, h, a_max, b_max):
+    """S_h applied to (p, L, M), A = p.a and B = p.b being p's rate sums:
+    (p, L, M, A, B) after it, with the new p's sums."""
+    L, M = _zflow(params, A, B, L, M, 0.5 * h)
+    p = _pflow(params, a_vec, b_vec, n, p, L, M, h, a_max, b_max)
+    A, B = float(np.dot(p, a_vec)), float(np.dot(p, b_vec))
+    L, M = _zflow(params, A, B, L, M, 0.5 * h)
+    return p, L, M, A, B
 
 
-def _extrapolated_step(params, a_vec, b_vec, n, p, L, M, h, config):
+def _extrapolated_step(params, a_vec, b_vec, n, p, L, M, h, config, a_max, b_max):
     """(p, L, M, err): (4 S_{h/2}^2 - S_h) / 3 applied to (p, L, M), and
     the error of the Strang step in units of rel_tol (accept when
     err <= 1; nan when a norm is not finite).  The weights sum to 1, so
-    the extrapolation keeps the mass."""
-    p1, L1, M1 = _strang_step(params, a_vec, b_vec, n, p, L, M, h)
-    p2, L2, M2 = _strang_step(params, a_vec, b_vec, n, p, L, M, 0.5 * h)
-    p2, L2, M2 = _strang_step(params, a_vec, b_vec, n, p2, L2, M2, 0.5 * h)
-    err_p = float(np.abs(p2 - p1).sum())
+    the extrapolation keeps the mass.  Each of the four measures met (p,
+    the outputs of S_h and of each S_{h/2}) has its rate sums formed once."""
+    args = (params, a_vec, b_vec, n)
+    A, B = float(np.dot(p, a_vec)), float(np.dot(p, b_vec))
+    p1, L1, M1, _, _ = _strang_step(*args, p, A, B, L, M, h, a_max, b_max)
+    p2, L2, M2, A, B = _strang_step(*args, p, A, B, L, M, 0.5 * h, a_max, b_max)
+    p2, L2, M2, _, _ = _strang_step(*args, p2, A, B, L2, M2, 0.5 * h, a_max, b_max)
+    diff = p2 - p1
+    err_p = float(np.abs(diff, out=diff).sum())
     err_z = params.c * max(abs(L2 - L1), abs(M2 - M1))
     err = max(err_p, err_z) / (3.0 * config.rel_tol)
     if not math.isfinite(err_p + err_z):  # max(x, nan) is x
         err = math.nan
-    return (4.0 * p2 - p1) / 3.0, (4.0 * L2 - L1) / 3.0, (4.0 * M2 - M1) / 3.0, err
+    p2 *= 4.0
+    p2 -= p1
+    p2 /= 3.0
+    return p2, (4.0 * L2 - L1) / 3.0, (4.0 * M2 - M1) / 3.0, err
 
 
 def _splitting_advance(params, a_vec, b_vec, n, p, L, M, t_span, h, config):
@@ -276,6 +304,7 @@ def _splitting_advance(params, a_vec, b_vec, n, p, L, M, t_span, h, config):
     a longer one."""
     t, t_hi = t_span
     h_min = 1e-12 * (t_hi - t)
+    a_max, b_max = float(a_vec.max()), float(b_vec.max())
     accepted = rejected = 0
     while t < t_hi:
         if h < h_min:
@@ -283,7 +312,7 @@ def _splitting_advance(params, a_vec, b_vec, n, p, L, M, t_span, h, config):
         last = t + h >= t_hi - h_min
         step = t_hi - t if last else h
         p_new, L_new, M_new, err = _extrapolated_step(
-            params, a_vec, b_vec, n, p, L, M, step, config
+            params, a_vec, b_vec, n, p, L, M, step, config, a_max, b_max
         )
         if not math.isfinite(err):
             raise StepSizeUnderflow(f"non-finite error estimate at t={t:g}")

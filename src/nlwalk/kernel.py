@@ -236,7 +236,8 @@ def propagate(
 
     Work estimated above _MAX_MADDS raises ValueError before any
     exponential is built.  The estimate is made from the first substep's
-    generator whether or not the store holds it, and counts one
+    generator whether or not the store holds it (a first key the store
+    misses builds its exponential from that generator), and counts one
     exponential per run of equal keys, so it bounds the work from above."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -251,8 +252,8 @@ def propagate(
     tau = (t1 - t0) / substeps
     keys = [(*path.at(0.5 * (a + b)), tau) for a, b in zip(edges[:-1], edges[1:])]
     runs = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
-    gen = Generator(window, *rate_arrays(params, *keys[0][:2], window))
-    _check_propagate_work(gen, tau, substeps, runs)
+    first = Generator(window, *rate_arrays(params, *keys[0][:2], window))
+    _check_propagate_work(first, tau, substeps, runs)
     if exps is None:
         exps = {}
     previous = None
@@ -260,7 +261,8 @@ def propagate(
         if key != previous:
             step = exps.get(key)
             if step is None:
-                gen = Generator(window, *rate_arrays(params, *key[:2], window))
+                gen = (first if key == keys[0]
+                       else Generator(window, *rate_arrays(params, *key[:2], window)))
                 step = _transition_matrix(gen, tau)
                 if (len(exps) + 1) * step.size <= _MAX_FLOATS:
                     exps[key] = step

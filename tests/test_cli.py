@@ -843,20 +843,30 @@ def test_kernel_check_refuses_k_max_before_building_any_exponential(
     # [run] t_final left out: the 20.0 that simulate integrates to
     ("seed = 1", "sample_times = 0.0, 25.0\npath = dynamics",
      "error: [paths] sample_times: 25.0 is past [run] t_final = 20.0"),
-], ids=["first-not-0", "past-t_final", "past-default-t_final"])
+    # 25 is past t_final but not the last time, which alone the
+    # [0, t_final] rule reads: the order is checked first
+    ("seed = 1", "sample_times = 0, 25, 1\npath = dynamics",
+     "error: [paths] sample_times: must be nonempty and strictly increasing"),
+    ("seed = 1", "sample_times = 0, 0.5, 0.5\npath = dynamics",
+     "error: [paths] sample_times: must be nonempty and strictly increasing"),
+    ("seed = 1", "n_paths = -3\npath = dynamics",
+     "error: [paths] n_paths: must be >= 0, got -3"),
+], ids=["first-not-0", "past-t_final", "past-default-t_final", "not-increasing",
+        "repeated", "negative-n_paths"])
 def test_sample_paths_refuses_times_the_start_and_path_do_not_cover(
     tmp_path, capsys, monkeypatch, run, paths, message
 ):
-    # the start positions are the law of [initial] at t = 0, and past
-    # [run] t_final the dynamics path holds its end values: either is
-    # refused before anything is integrated
+    # the start positions are the law of [initial] at t = 0, past [run]
+    # t_final the dynamics path holds its end values, and sample times out
+    # of order or a negative path count cannot be sampled: each is refused
+    # before anything is integrated
     def integrate(*args, **kwargs):
         raise AssertionError("integrated before the refusal")
 
     monkeypatch.setattr("nlwalk.cli.integrate", integrate)
     text = README_CONFIG.replace("t_final = 20.0\n", "").replace(
         "seed = 1", run
-    ) + f"\n[paths]\nn_paths = 20\n{paths}\n"
+    ) + f"\n[paths]\n{paths}\n"
     cfg = write_config(tmp_path, text, "bench.ini")
     assert main(["sample-paths", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     lines = capsys.readouterr().err.splitlines()

@@ -35,10 +35,11 @@ from nlwalk.dynamics import (
     NEG_TOL,
     TRUNC_TOL,
     _band,
+    _extrapolated_step,
     _pflow,
     _splitting_advance,
 )
-from nlwalk.errors import NlwalkError, RateOverflow, StepSizeUnderflow
+from nlwalk.errors import NlwalkError, NumericalError, RateOverflow, StepSizeUnderflow
 from nlwalk.lyapunov import Q_value
 from nlwalk.model import EXP_LIMIT, rate_arrays
 
@@ -572,6 +573,54 @@ def _scipy_pflow(params, a_vec, b_vec, n, p, L, M, h):
     return out
 
 
+def _reference_zflow(params, a_vec, b_vec, p, L, M, h):
+    """The (L, M) half-step forming its frozen measure's sums p.a and p.b
+    itself, as each half-step once did."""
+    c = params.c
+    if max(abs(c * L), abs(c * M)) > EXP_LIMIT:
+        raise RateOverflow(
+            f"barrier exponent out of range (L={L}, M={M} from the window "
+            f"centre, c={c})"
+        )
+    A = float(np.dot(p, a_vec))
+    B = float(np.dot(p, b_vec))
+    xL = c * params.C_lambda * h
+    xM = c * params.C_mu * h
+    u = math.exp(-c * L) * math.exp(-xL) - A / params.C_lambda * math.expm1(-xL)
+    v = math.exp(c * M) * math.exp(-xM) - B / params.C_mu * math.expm1(-xM)
+    if not (u > 0 and v > 0):
+        raise RateOverflow("(L, M) flow left the representable range")
+    return -math.log(u) / c, math.log(v) / c
+
+
+def _reference_extrapolated_step(params, a_vec, b_vec, n, p, L, M, h, config):
+    """(4 S_{h/2}^2 - S_h) / 3 and its error from three Strang steps on
+    _reference_zflow and _scipy_pflow, every sum and maximum formed where
+    it is read: the route _extrapolated_step must match bit for bit."""
+    def strang(p, L, M, h):
+        L, M = _reference_zflow(params, a_vec, b_vec, p, L, M, 0.5 * h)
+        p = _scipy_pflow(params, a_vec, b_vec, n, p, L, M, h)
+        L, M = _reference_zflow(params, a_vec, b_vec, p, L, M, 0.5 * h)
+        return p, L, M
+
+    p1, L1, M1 = strang(p, L, M, h)
+    p2, L2, M2 = strang(p, L, M, 0.5 * h)
+    p2, L2, M2 = strang(p2, L2, M2, 0.5 * h)
+    err_p = float(np.abs(p2 - p1).sum())
+    err_z = params.c * max(abs(L2 - L1), abs(M2 - M1))
+    err = max(err_p, err_z) / (3.0 * config.rel_tol)
+    if not math.isfinite(err_p + err_z):
+        err = math.nan
+    return (4.0 * p2 - p1) / 3.0, (4.0 * L2 - L1) / 3.0, (4.0 * M2 - M1) / 3.0, err
+
+
+def _pflow_at_band_maxima(params, a_vec, b_vec, n, p, L, M, h):
+    """_pflow given the band's rate maxima, as _splitting_advance takes
+    them once per interval."""
+    return _pflow(params, a_vec, b_vec, n, p, L, M, h,
+                  float(a_vec.max()), float(b_vec.max()))
+
+
 @st.composite
 def _measure_steps(draw):
     """_pflow's arguments on a band [lo, hi) of 2-60 sites of a window, in
@@ -603,7 +652,7 @@ class TestMeasureStep:
     @settings(max_examples=300, deadline=None)
     def test_bit_equal_to_the_scipy_route(self, args):
         results = []
-        for step in (_pflow, _scipy_pflow):
+        for step in (_pflow_at_band_maxima, _scipy_pflow):
             try:
                 results.append(step(*args))
             except RateOverflow as e:
@@ -613,6 +662,45 @@ class TestMeasureStep:
             assert new == old
         else:
             assert isinstance(new, np.ndarray) and np.array_equal(new, old)
+
+    @given(args=_measure_steps(), rel_tol=st.floats(1e-12, 1e-4))
+    @settings(max_examples=200, deadline=None)
+    def test_extrapolated_step_bit_equal_to_the_reference(self, args, rel_tol):
+        # each measure's rate sums formed once, the band maxima passed in
+        # and the conjugation guard read from the band ends move no bit of
+        # (p, L, M, err), nor which refusal is raised
+        params, a_vec, b_vec = args[:3]
+        config = IntegratorConfig(rel_tol=rel_tol)
+        maxima = float(a_vec.max()), float(b_vec.max())
+        results = []
+        for step in (lambda: _extrapolated_step(*args, config, *maxima),
+                     lambda: _reference_extrapolated_step(*args, config)):
+            try:
+                results.append(step())
+            except RateOverflow as e:
+                results.append(str(e))
+        new, old = results
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert np.array_equal(new[0], old[0], equal_nan=True)
+            assert new[1:3] == old[1:3]
+            assert new[3] == old[3] or (math.isnan(new[3]) and math.isnan(old[3]))
+
+    def test_patched_dstev_runs_after_the_first_eigensolve(self, monkeypatch):
+        # scipy.linalg.lapack is bound on the first eigensolve, not its
+        # dstev: a later patch of the routine is still the one that runs
+        import scipy.linalg.lapack
+
+        diag, off = np.array([-1.0, -2.0]), np.array([0.5])
+        dynamics.eigh_tridiagonal(diag, off)
+
+        def unconverged(d, e, compute_v=1):
+            return d.copy(), np.eye(d.size), 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstev", unconverged)
+        with pytest.raises(NumericalError, match=r"dstev info=1"):
+            dynamics.eigh_tridiagonal(diag, off)
 
     def test_sites_above_the_weight_limit_read_zero(self):
         # (L + M) / 2 = -50.2 at c = 0.535: the sites n >= 1 weigh above
@@ -625,7 +713,7 @@ class TestMeasureStep:
         p[2] = 1.0
         args = (params, a_vec[:21], b_vec[:21], n, p,
                 -37.158300425235865, -63.23012109637199, 1.5295797097075203)
-        out = _pflow(*args)
+        out = _pflow_at_band_maxima(*args)
         assert np.array_equal(out, _scipy_pflow(*args))
         assert np.all(out[n >= 1] == 0.0) and out[n < 1].sum() > 0.99
 

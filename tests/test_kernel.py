@@ -241,6 +241,28 @@ class TestPropagate:
         assert len(count_exponentials) == 4
         assert np.array_equal(again.rows, P.rows)
 
+    def test_first_substep_generator_is_built_once(self, monkeypatch):
+        # the work check's generator also builds the first key's
+        # exponential when the store misses it: 2 rate tables for the 2
+        # distinct keys, not 3, and the kernel is the one the built
+        # matrices give when the store holds them
+        w = Window.symmetric(8)
+        held = {key: _transition_matrix(Generator(w, *rate_arrays(PARAMS, *key[:2], w)), 0.1)
+                for key in ((1.3, -0.4, 0.1), (0.2, 0.5, 0.1))}
+        reference = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10, exps=held)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rate_arrays(*args)
+
+        monkeypatch.setattr("nlwalk.kernel.rate_arrays", counted)
+        exps = {}
+        P = propagate(PARAMS, self.RETURNING, 0.0, 1.0, w, substeps=10, exps=exps)
+        assert len(calls) == 2
+        assert np.array_equal(P.rows, reference.rows)
+        assert all(np.array_equal(exps[key], held[key]) for key in held)
+
     def test_without_a_store_every_substep_of_a_moving_path_builds(self, count_exponentials):
         # one exponential per substep on a two-knot path, one on a constant
         w = Window.symmetric(8)
