@@ -233,21 +233,8 @@ def _t_final(cfg: RunConfig) -> float:
     return cfg.get("run", "t_final", 20.0)
 
 
-def _integrate(cfg: RunConfig) -> TrajectoryLog:
-    return integrate(cfg.params, cfg.initial_state(), _t_final(cfg), cfg.integrator())
-
-
-def _check_on_dynamics_path(cfg: RunConfig, section: str, key: str, t: float) -> None:
-    """Refuse a time t of [section] key outside [0, [run] t_final]: the
-    dynamics path is integrated over that span and holds its end values
-    outside it, so it would not follow the dynamics there."""
-    if t < 0.0:
-        raise ConfigError(f"[{section}] {key}: {t} is before 0, where the dynamics path starts")
-    T = _t_final(cfg)
-    if t > T:
-        raise ConfigError(
-            f"[{section}] {key}: {t} is past [run] t_final = {T}, where the dynamics path ends"
-        )
+def _integrate(cfg: RunConfig, state0: SystemState) -> TrajectoryLog:
+    return integrate(cfg.params, state0, _t_final(cfg), cfg.integrator())
 
 
 def _write_trajectory_csv(
@@ -288,7 +275,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             "there are no fixed points"
         )
     out = _out_dir(cfg, args)
-    log = annotate(_integrate(cfg))
+    log = annotate(_integrate(cfg, cfg.initial_state()))
     report = monitor(log)
     K0 = log.samples[0].K
     s_star = pi_star = K_residual = None
@@ -371,10 +358,14 @@ def _path_mode(cfg: RunConfig, section: str) -> str:
     return mode
 
 
-def _frozen_path(cfg: RunConfig, mode: str) -> kernel_mod.FrozenPath:
+def _path_span(cfg: RunConfig, mode: str):
+    """The span of the path _frozen_path will build."""
+    return (0.0, _t_final(cfg)) if mode == "dynamics" else (-math.inf, math.inf)
+
+
+def _frozen_path(cfg: RunConfig, mode: str, state0: SystemState) -> kernel_mod.FrozenPath:
     if mode == "dynamics":
-        return kernel_mod.FrozenPath.from_log(_integrate(cfg))
-    state0 = cfg.initial_state()
+        return kernel_mod.FrozenPath.from_log(_integrate(cfg, state0))
     return kernel_mod.FrozenPath.constant(state0.L, state0.M)
 
 
@@ -384,24 +375,16 @@ def cmd_kernel_check(cfg: RunConfig, args) -> int:
     t0 = cfg.get("kernel", "t0", 0.0)
     t1 = cfg.get("kernel", "t1", 1.0)
     substeps = cfg.get("kernel", "substeps", 50)
-    if t1 < t0:
-        raise ConfigError(f"[kernel] t1: {t1} is before t0 = {t0}")
-    if substeps < 1:
-        raise ConfigError(f"[kernel] substeps: must be >= 1, got {substeps}")
-    if mode == "dynamics":
-        _check_on_dynamics_path(cfg, "kernel", "t0", t0)
-        _check_on_dynamics_path(cfg, "kernel", "t1", t1)
+    # propagate's own refusals, made before the path is integrated
+    kernel_mod.check_propagate_args(_path_span(cfg, mode), t0, t1, substeps)
     splits = cfg.get("kernel", "splits", [])
     for tm in splits:
         if not t0 < tm < t1:
             raise ConfigError(f"[kernel] splits: {tm} outside ({t0}, {t1})")
     k_maxes = cfg.get("kernel", "k_max", [])
-    for k in k_maxes:
-        if k < 0:
-            raise ConfigError(f"[kernel] k_max: must be >= 0, got {k}")
     if k_maxes and mode != "constant":
         raise ConfigError("[kernel] k_max: the Dyson series needs path = constant")
-    path = _frozen_path(cfg, mode)
+    path = _frozen_path(cfg, mode, cfg.initial_state())
     # the series refuses a k_max it cannot hold before any exponential is built
     sums = (kernel_mod.dyson_series(cfg.params, *path.at(t0), t0, t1, cfg.window, k_maxes)
             if k_maxes else [])
@@ -446,24 +429,15 @@ def cmd_sample_paths(cfg: RunConfig, args) -> int:
     mode = _path_mode(cfg, "paths")
     n_paths = cfg.get("paths", "n_paths", 1000)
     ts = cfg.get("paths", "sample_times", [0.0, 1.0])
-    # refused before the dynamics path is integrated: times out of order
-    # (the config refuses non-finite ones) and a negative path count
-    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ConfigError(
-            f"[paths] sample_times: must be nonempty and strictly increasing, got {ts}"
-        )
-    if n_paths < 0:
-        raise ConfigError(f"[paths] n_paths: must be >= 0, got {n_paths}")
-    # the start positions are drawn from [initial] p, the law at t = 0, and
-    # the dynamics path is held at its end values past [run] t_final
+    # sample_paths' own refusals, made before the path is integrated
+    kernel_mod.check_sample_paths_args(_path_span(cfg, mode), ts, n_paths)
+    # the start positions are drawn from [initial] p, the law at t = 0
     if ts[0] != 0.0:
         raise ConfigError(
             f"[paths] sample_times: the first must be 0, the time of [initial], got {ts[0]}"
         )
-    if mode == "dynamics":
-        _check_on_dynamics_path(cfg, "paths", "sample_times", ts[-1])
-    path = _frozen_path(cfg, mode)
     state0 = cfg.initial_state()
+    path = _frozen_path(cfg, mode, state0)
     walks = kernel_mod.sample_paths(
         cfg.params, path, state0.p, ts, n_paths, _seed(cfg, args)
     )

@@ -78,28 +78,70 @@ class FrozenPath:
 
     @classmethod
     def from_log(cls, log) -> "FrozenPath":
-        ts = log.times
+        if len(log.samples) < 2:
+            raise ValueError("a dynamics path needs a log of >= 2 samples, integrated over T > 0")
         return cls(
-            ts,
+            log.times,
             np.array([s.state.L for s in log.samples]),
             np.array([s.state.M for s in log.samples]),
         )
 
+    @property
+    def span(self) -> Tuple[float, float]:
+        """[first knot, last knot]; every time for a one-knot path."""
+        return (-math.inf, math.inf) if len(self.times) == 1 else (self.times[0], self.times[-1])
+
     def at(self, t: float) -> Tuple[float, float]:
-        """(L(t), M(t)): linear between knots, the end values outside."""
+        """(L(t), M(t)), linear between knots; ValueError outside the span."""
+        _check_in_span(self.span, "time", t)
         return (
             float(np.interp(t, self.times, self.L_values)),
             float(np.interp(t, self.times, self.M_values)),
         )
 
     def envelope(self, t0: float, t1: float) -> Tuple[float, float]:
-        """(max L, min M) over [t0, t1] (piecewise-linear => knots suffice)."""
+        """(max L, min M) over [t0, t1] in the span (knots suffice)."""
+        _check_in_span(self.span, "time", t0, t1)
         inner = self.times[(self.times > t0) & (self.times < t1)]
         knots = np.concatenate(([t0, t1], inner))
         return (
             float(np.interp(knots, self.times, self.L_values).max()),
             float(np.interp(knots, self.times, self.M_values).min()),
         )
+
+
+def _check_in_span(span: Tuple[float, float], name: str, *times: float) -> None:
+    lo, hi = span
+    for t in times:
+        if not lo <= t <= hi:
+            raise ValueError(f"{name} {t} is outside the path's span [{lo}, {hi}]")
+
+
+def _check_ordered(t0: float, t1: float) -> None:
+    if t1 < t0:
+        raise ValueError(f"t1 = {t1} is before t0 = {t0}")
+
+
+def check_propagate_args(span: Tuple[float, float], t0: float, t1: float, substeps: int) -> None:
+    """propagate's refusals (ValueError) on a path of this span, which a
+    caller may check before it builds the path."""
+    _check_ordered(t0, t1)
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    _check_in_span(span, "time", t0, t1)
+
+
+def check_sample_paths_args(
+    span: Tuple[float, float], sample_times: Sequence[float], n_paths: int
+) -> None:
+    """sample_paths' refusals (ValueError) on a path of this span, which a
+    caller may check before it builds the path."""
+    ts = np.asarray(sample_times, dtype=float)
+    if len(ts) < 1 or not np.isfinite(ts).all() or not np.all(np.diff(ts) > 0):
+        raise ValueError("sample_times must be nonempty, finite, strictly increasing")
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
+    _check_in_span(span, "sample time", float(ts[0]), float(ts[-1]))
 
 
 @dataclass(frozen=True)
@@ -220,7 +262,7 @@ def propagate(
 ) -> Kernel:
     """P(t0, t1) as a fixed-order product of per-substep exponentials,
     each with the generator frozen at the substep midpoint.  All substeps
-    have one length tau.
+    have one length tau.  Raises check_propagate_args' ValueErrors.
 
     exps is a store of substep exponentials for calls on one params and
     window: it maps (L, M, tau), the floats path.at returns at a midpoint
@@ -239,10 +281,7 @@ def propagate(
     generator whether or not the store holds it (a first key the store
     misses builds its exponential from that generator), and counts one
     exponential per run of equal keys, so it bounds the work from above."""
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    check_propagate_args(path.span, t0, t1, substeps)
     P = np.eye(window.size)
     if t1 == t0:
         return Kernel(window=window, rows=P)
@@ -314,9 +353,8 @@ def dyson_series(
     _MAX_FLOATS or _MAX_MADDS raises ValueError before any
     of them is made."""
     if not k_maxes or min(k_maxes) < 0:
-        raise ValueError("k_maxes must be a nonempty list of ints >= 0")
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
+        raise ValueError(f"k_maxes must be a nonempty list of ints >= 0, got {list(k_maxes)}")
+    _check_ordered(t0, t1)
     gen = Generator(window, *rate_arrays(params, L, M, window))
     tau = t1 - t0
     n = window.size
@@ -426,13 +464,10 @@ def sample_paths(
     and its r-th proposal on interval k = 1, 2, ... the block at
     (i, k, r, 0), under one key per seed; word 0 gives the waiting time,
     word 1 the up/down test.  So path i depends only on (seed, i), not on
-    n_paths or on other paths.
+    n_paths or on other paths.  Raises check_sample_paths_args' ValueErrors.
     """
     ts = np.asarray(sample_times, dtype=float)
-    if len(ts) < 1 or not np.isfinite(ts).all() or not np.all(np.diff(ts) > 0):
-        raise ValueError("sample_times must be nonempty, finite, strictly increasing")
-    if n_paths < 0:
-        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
+    check_sample_paths_args(path.span, ts, n_paths)
     window = p0.window
     n_min = window.n_min
     c = params.c

@@ -114,7 +114,9 @@ def monitor(log: TrajectoryLog) -> MonitorReport:
     Counts sample pairs with W(t_{k+1}) > W(t_k) + SLACK, and checks the
     a-priori bounds: Q(t) <= max(Q(0), sup_beta/(2C) + 2e sup_beta^2)
     whenever the contraction constant C of the profile is positive, and
-    |mean - s| <= Q / inf_beta.
+    |mean - s| <= arccosh(Q / (2 inf_beta)) / c at each sample: Q >=
+    2 inf_beta cosh(c(mean - s)) by Jensen, with equality for a delta
+    measure and constant beta.
     """
     params = log.params
     if any(s.W is None for s in log.samples):
@@ -137,7 +139,9 @@ def monitor(log: TrajectoryLog) -> MonitorReport:
     log_beta = log_beta_array(params.beta, window.n_min - 1, window.n_max + 1)
     inf_beta = float(np.exp(log_beta.min()))
     offsets = np.array([abs(mean_position(s.state.p) - s.state.s) for s in samples])
-    mean_offset_bound = q_max / inf_beta if inf_beta > 0 else None
+    # the largest per-sample bound is q_max's, arccosh being increasing
+    mean_offset_bound = (math.acosh(max(q_max / (2.0 * inf_beta), 1.0)) / params.c
+                         if inf_beta > 0 else None)
 
     return MonitorReport(
         violations=violations,

@@ -119,21 +119,6 @@ class ModelParams:
         return math.isclose(self.C_lambda, self.C_mu, rel_tol=1e-12, abs_tol=0.0)
 
 
-def jump_rates(params: ModelParams, L: float, M: float, n: int) -> Tuple[float, float]:
-    """(lambda_n, mu_n) at the given (L, M), site by site: the scalar
-    reference for rate_arrays.  Raises RateOverflow when the exponent
-    leaves the representable range."""
-    a = -params.c * (n - L)
-    b = params.c * (n - M)
-    if abs(a) > EXP_LIMIT or abs(b) > EXP_LIMIT:
-        raise RateOverflow(
-            f"rate exponent out of range at n={n} (L={L}, M={M}, c={params.c})"
-        )
-    lam = math.exp(params.beta.log_value(n) + a)
-    mu = math.exp(params.beta.log_value(n - 1) + b)
-    return lam, mu
-
-
 @functools.lru_cache(maxsize=64)
 def log_beta_array(profile: BetaProfile, n_lo: int, n_hi: int) -> np.ndarray:
     """log beta(n) for n in [n_lo, n_hi] inclusive, as a read-only float

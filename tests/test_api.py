@@ -26,18 +26,29 @@ def _code_names(path):
     }
 
 
+def _module_defs(path):
+    """The public functions and classes a module defines at its top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
 def test_every_public_name_has_a_user():
-    # a name only unit tests reach should not be exported
-    sources = [p for p in (ROOT / "src" / "nlwalk").glob("*.py") if p.name != "__init__.py"]
-    sources += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    # a name only unit tests reach should not be exported, nor be defined
+    # public in a module
+    package = [p for p in (ROOT / "src" / "nlwalk").glob("*.py") if p.name != "__init__.py"]
+    sources = [*package, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     used = set().union(*map(_code_names, sources))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    public = [
+    public = {
         name for name, value in vars(nlwalk).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    ]
-    unused = [n for n in public if n not in used and not re.search(rf"\b{n}\b", readme)]
-    assert public and not unused, f"exported but unused: {unused}"
+    }
+    public.update(name for path in package for name in _module_defs(path))
+    unused = sorted(n for n in public if n not in used and not re.search(rf"\b{n}\b", readme))
+    assert public and not unused, f"public but unused: {unused}"
 
 
 def _dataclass_fields(path):

@@ -687,7 +687,8 @@ BAD_INPUTS = [
 def test_bad_input_exits_2(tmp_path, capsys, command, section, values):
     # an invalid or non-finite input value is a config error, never a
     # traceback or a run that writes NaN or infinite times; a list entry
-    # that does not parse is reported with its key
+    # that does not parse is reported with its key, and a negative k_max
+    # by the Dyson series' own refusal
     parser = configparser.ConfigParser()
     parser.read_string(SECTIONS)
     parser.read_dict({section: values})
@@ -697,8 +698,10 @@ def test_bad_input_exits_2(tmp_path, capsys, command, section, values):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if values in ({"sample_times": "0.0, x"}, {"splits": "abc"}, {"k_max": "-1"}):
+    if values in ({"sample_times": "0.0, x"}, {"splits": "abc"}):
         assert f"[{section}] {next(iter(values))}" in err
+    if values == {"k_max": "-1"}:
+        assert err == "error: k_maxes must be a nonempty list of ints >= 0, got [-1]\n"
 
 
 README_CONFIG = re.search(
@@ -839,27 +842,27 @@ def test_kernel_check_refuses_k_max_before_building_any_exponential(
     ("t_final = 1.0", "sample_times = 0.5, 1.0\npath = constant",
      "error: [paths] sample_times: the first must be 0, the time of [initial], got 0.5"),
     ("t_final = 1.0", "sample_times = 0.0, 0.5, 2.0\npath = dynamics",
-     "error: [paths] sample_times: 2.0 is past [run] t_final = 1.0"),
+     "error: sample time 2.0 is outside the path's span [0.0, 1.0]"),
     # [run] t_final left out: the 20.0 that simulate integrates to
     ("seed = 1", "sample_times = 0.0, 25.0\npath = dynamics",
-     "error: [paths] sample_times: 25.0 is past [run] t_final = 20.0"),
-    # 25 is past t_final but not the last time, which alone the
-    # [0, t_final] rule reads: the order is checked first
+     "error: sample time 25.0 is outside the path's span [0.0, 20.0]"),
+    # 25 is past t_final but not the last time, which alone the span
+    # rule reads: the order is checked first
     ("seed = 1", "sample_times = 0, 25, 1\npath = dynamics",
-     "error: [paths] sample_times: must be nonempty and strictly increasing"),
+     "error: sample_times must be nonempty, finite, strictly increasing"),
     ("seed = 1", "sample_times = 0, 0.5, 0.5\npath = dynamics",
-     "error: [paths] sample_times: must be nonempty and strictly increasing"),
+     "error: sample_times must be nonempty, finite, strictly increasing"),
     ("seed = 1", "n_paths = -3\npath = dynamics",
-     "error: [paths] n_paths: must be >= 0, got -3"),
+     "error: n_paths must be >= 0, got -3"),
 ], ids=["first-not-0", "past-t_final", "past-default-t_final", "not-increasing",
         "repeated", "negative-n_paths"])
 def test_sample_paths_refuses_times_the_start_and_path_do_not_cover(
     tmp_path, capsys, monkeypatch, run, paths, message
 ):
-    # the start positions are the law of [initial] at t = 0, past [run]
-    # t_final the dynamics path holds its end values, and sample times out
-    # of order or a negative path count cannot be sampled: each is refused
-    # before anything is integrated
+    # the start positions are the law of [initial] at t = 0, the dynamics
+    # path spans [0, [run] t_final], and sample times out of order or a
+    # negative path count cannot be sampled: each is refused before
+    # anything is integrated
     def integrate(*args, **kwargs):
         raise AssertionError("integrated before the refusal")
 
@@ -875,23 +878,23 @@ def test_sample_paths_refuses_times_the_start_and_path_do_not_cover(
 
 @pytest.mark.parametrize("run, kernel, message", [
     ("t_final = 0.5", "t1 = 1.0\nsplits = 0.5",
-     "error: [kernel] t1: 1.0 is past [run] t_final = 0.5"),
+     "error: time 1.0 is outside the path's span [0.0, 0.5]"),
     # [run] t_final left out: the 20.0 that simulate integrates to
     ("seed = 1", "t1 = 25.0",
-     "error: [kernel] t1: 25.0 is past [run] t_final = 20.0"),
+     "error: time 25.0 is outside the path's span [0.0, 20.0]"),
     ("t_final = 1.0", "t0 = -1.0\nt1 = 1.0",
-     "error: [kernel] t0: -1.0 is before 0"),
+     "error: time -1.0 is outside the path's span [0.0, 1.0]"),
     ("t_final = 1.0", "t0 = 0.5\nt1 = 0.25",
-     "error: [kernel] t1: 0.25 is before t0 = 0.5"),
+     "error: t1 = 0.25 is before t0 = 0.5"),
     ("t_final = 1.0", "substeps = 0",
-     "error: [kernel] substeps: must be >= 1, got 0"),
+     "error: substeps must be >= 1, got 0"),
 ], ids=["past-t_final", "past-default-t_final", "before-0", "t1-before-t0", "substeps-0"])
 def test_kernel_check_refuses_spans_the_dynamics_path_does_not_cover(
     tmp_path, capsys, monkeypatch, run, kernel, message
 ):
-    # outside [0, [run] t_final] the dynamics path holds its end values,
-    # and a reversed span or no substeps has no kernel: each is refused
-    # before anything is integrated
+    # the dynamics path spans [0, [run] t_final], and a reversed span or
+    # no substeps has no kernel: each is refused before anything is
+    # integrated
     def integrate(*args, **kwargs):
         raise AssertionError("integrated before the refusal")
 
@@ -941,7 +944,7 @@ def test_simulate_certificate_columns_are_pinned(tmp_path):
     }
     assert digests == {
         "trajectory.csv": "214e63c3acf9ea53cb617ea3b76bb60dc32a874fd9175e4c47c1b107801ff45b",
-        "summary.json": "b20e9a8a15d1ba3fe53df1083fdc1d9619fc8ef1c1d53d792898ae38215250ef",
+        "summary.json": "2d97b0e9f34bf9cb671b26ac24c7b290afaf7066ca399d5ae37e78c0cc4533b1",
     }
 
 

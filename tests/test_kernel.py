@@ -72,7 +72,9 @@ class TestFrozenPath:
     @settings(max_examples=200, deadline=None)
     def test_at_is_np_interp(self, start, gaps, values, fractions):
         # knots, midpoints, arbitrary points inside and outside the range;
-        # no gaps means a single-knot (constant) path
+        # no gaps means a single-knot (constant) path, defined at every
+        # time.  Inside the span at is np.interp bit for bit, and outside
+        # it raises
         times = start + np.concatenate(([0.0], np.cumsum(gaps)))
         k = len(times)
         path = FrozenPath(times, np.array(values[:k]), np.array(values[13:13 + k]))
@@ -85,11 +87,54 @@ class TestFrozenPath:
             times[-1] + 1.0,
         ]
         for t in queries:
-            expected = (
-                float(np.interp(t, times, path.L_values)),
-                float(np.interp(t, times, path.M_values)),
-            )
-            assert path.at(float(t)) == expected
+            if k == 1 or times[0] <= t <= times[-1]:
+                expected = (
+                    float(np.interp(t, times, path.L_values)),
+                    float(np.interp(t, times, path.M_values)),
+                )
+                assert path.at(float(t)) == expected
+            else:
+                with pytest.raises(ValueError, match="outside the path's span"):
+                    path.at(float(t))
+
+    def test_calls_outside_the_span_raise(self, readme_path):
+        # the README dynamics path spans [0, 1]: every library call that
+        # reads it past either end is refused, not frozen at the end values
+        w = Window.symmetric(8)
+        p0 = LatticeMeasure.delta(0, w)
+        assert readme_path.span == (0.0, 1.0)
+        calls = [
+            lambda: propagate(PARAMS, readme_path, 0.0, 1.5, w, 5),
+            lambda: propagate(PARAMS, readme_path, -0.5, 1.0, w, 5),
+            lambda: sample_paths(PARAMS, readme_path, p0, [0.0, 1.5], 10, seed=1),
+            lambda: sample_paths(PARAMS, readme_path, p0, [-0.5, 0.5], 10, seed=1),
+            lambda: generator_at(PARAMS, readme_path, 1.5, w),
+            lambda: readme_path.at(-1e-9),
+            lambda: readme_path.at(1.0 + 1e-9),
+            lambda: readme_path.envelope(0.5, 25.0),
+            lambda: readme_path.envelope(-1.0, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="outside the path's span"):
+                call()
+        # a constant path is defined at every time, negative ones included
+        assert PATH0.span == (-math.inf, math.inf)
+        assert PATH0.at(-5.0) == PATH0.at(25.0) == (L0, M0)
+        assert PATH0.envelope(-3.0, 40.0) == (L0, M0)
+        P = propagate(PARAMS, PATH0, -2.0, -1.0, w, 5)
+        assert np.array_equal(P.rows, propagate(PARAMS, PATH0, 0.0, 1.0, w, 5).rows)
+        walks = sample_paths(PARAMS, PATH0, p0, [-1.0, 30.0], 10, seed=1)
+        assert walks.shape == (10, 2)
+        assert np.array_equal(generator_at(PARAMS, PATH0, -7.0, w).lam,
+                              generator_at(PARAMS, PATH0, 0.0, w).lam)
+
+    def test_from_log_needs_two_samples(self, bench_params, bench_state0):
+        # integrate over T = 0 logs one sample: a one-knot path would be
+        # constant, defined at every time, so it is refused
+        log = integrate(bench_params, bench_state0, 0.0, IntegratorConfig())
+        assert len(log.samples) == 1
+        with pytest.raises(ValueError, match=">= 2 samples, integrated over T > 0"):
+            FrozenPath.from_log(log)
 
     def test_rejects_non_finite_times(self):
         with pytest.raises(ValueError):
@@ -272,14 +317,17 @@ class TestPropagate:
         assert len(count_exponentials) == 21
 
     def test_work_estimate_counts_runs_of_equal_keys(self, monkeypatch, count_exponentials):
-        # past its last knot a two-knot path holds (0.2, 0.5): on [2, 3]
+        # the path holds (0.2, 0.5) from its knot at 1 to its knot at 3, and
+        # np.interp between equal values returns them exactly: on [2, 3]
         # all 10 midpoints give one key, one run.  At its 19 squarings of
         # 17 x 17 over tau = 0.1 the estimate is (26 + 10) 17^3 = 1.8e5
         # multiply-adds for 1 exponential and (260 + 10) 17^3 = 1.3e6 for
         # 10; under a cap of 7.5e5 between them the held span runs and
         # builds 1, and the moving span [0, 1] is refused
         w = Window.symmetric(8)
-        path = FrozenPath(np.array([0.0, 1.0]), np.array([1.3, 0.2]), np.array([-0.4, 0.5]))
+        path = FrozenPath(
+            np.array([0.0, 1.0, 3.0]), np.array([1.3, 0.2, 0.2]), np.array([-0.4, 0.5, 0.5])
+        )
         reference = propagate(PARAMS, FrozenPath.constant(0.2, 0.5), 2.0, 3.0, w, substeps=10)
         count_exponentials.clear()
         monkeypatch.setattr("nlwalk.kernel._MAX_MADDS", 7.5e5)
@@ -518,14 +566,17 @@ class TestSamplePaths:
     ):
         # piecewise-linear paths on small windows off the origin: every
         # position stays on the window, and path i does not depend on
-        # n_paths, so a k-path run is the first k rows of an n-path run
+        # n_paths, so a k-path run is the first k rows of an n-path run.
+        # The last knot is moved out to the last sample time where it
+        # falls short, so the path spans every sample time
+        sample_times = [0.0, 0.3, 0.8, 1.2]
         times = np.concatenate(([0.0], np.cumsum(gaps)))
+        times[-1] = max(times[-1], sample_times[-1])
         k = len(times)
         path = FrozenPath(times, np.array(L_values[:k]), np.array(M_values[:k]))
         w = Window(n_min, size)
         p0 = LatticeMeasure.normalized(w, np.ones(size))
         params = ModelParams(c=c)
-        sample_times = [0.0, 0.3, 0.8, 1.2]
         walks = sample_paths(params, path, p0, sample_times, 12, seed=seed)
         assert walks.min() >= w.n_min and walks.max() <= w.n_max
         prefix = sample_paths(params, path, p0, sample_times, 5, seed=seed)

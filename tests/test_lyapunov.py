@@ -26,8 +26,9 @@ from nlwalk import (
     partition_Xi,
     total_variation,
 )
-from nlwalk.lyapunov import W_increases
-from nlwalk.model import rate_arrays
+from nlwalk.lattice import mean_position
+from nlwalk.lyapunov import SLACK, W_increases
+from nlwalk.model import log_beta_array, rate_arrays
 
 LN_XI = 0.5724683839469007  # ln partition_Xi(1, 0), frozen oracle
 
@@ -218,7 +219,51 @@ class TestWAtEveryC:
             assert _W_rises(c, beta, n0, L0, M0)[0] == 0
 
 
+def _assert_offset_bound(log, report):
+    """Each sample meets Jensen's Q >= 2 inf beta cosh(c (mean - s)) up to
+    SLACK, inf beta over the window and one site past each end, and the
+    report's bound is the largest per-sample arccosh(Q / (2 inf beta)) / c.
+    The inequality is compared in this form: near Q = 2 inf beta, arccosh
+    turns Q's roundoff into an error of about sqrt(eps) / c in the bound."""
+    params, w = log.params, log.window
+    inf_beta = float(np.exp(log_beta_array(params.beta, w.n_min - 1, w.n_max + 1).min()))
+    ratios = [s.Q / (2.0 * inf_beta) for s in log.samples]
+    for smp, ratio in zip(log.samples, ratios):
+        offset = abs(mean_position(smp.state.p) - smp.state.s)
+        assert math.cosh(params.c * offset) <= ratio * (1.0 + SLACK)
+    bounds = [math.acosh(max(ratio, 1.0)) / params.c for ratio in ratios]
+    assert report.mean_offset_bound == pytest.approx(max(bounds), rel=1e-12)
+
+
+def _offset_report(c, beta, n0, L0, M0, T, n_samples, m):
+    params = ModelParams(c=c, beta=beta)
+    state0 = SystemState(p=LatticeMeasure.delta(n0, Window.symmetric(m)), L=L0, M=M0)
+    log = annotate(integrate(params, state0, T, IntegratorConfig(n_samples=n_samples)))
+    return log, monitor(log)
+
+
 class TestMonitor:
+    def test_mean_offset_bound_holds_at_small_c(self):
+        # Q / inf beta bounded |mean - s| at c = 1 only: here the offset
+        # reaches 2.55 against it 2.266.  The delta start meets the Jensen
+        # bound with equality, so it is compared with SLACK
+        log, report = _offset_report(0.2, ConstantBeta(), 3, 1.3, -0.4, 8.0, 201, 40)
+        _assert_offset_bound(log, report)
+        assert report.mean_offset_max == pytest.approx(2.55, abs=1e-12)
+        assert report.mean_offset_max <= report.mean_offset_bound + SLACK
+
+    @given(
+        c=st.floats(0.1, 4.0),
+        beta=st.sampled_from([ConstantBeta(0.5), ConstantBeta(1.0), ConstantBeta(2.0),
+                              TableBeta((0.5, 2.0, 1.0), n_min=-1)]),
+        n0=st.integers(-3, 3),
+        L0=st.floats(-2.0, 2.0),
+        M0=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_mean_offset_bound_at_every_c(self, c, beta, n0, L0, M0):
+        _assert_offset_bound(*_offset_report(c, beta, n0, L0, M0, 2.0, 11, 30))
+
     def test_benchmark_monotone(self, short_log):
         report = monitor(short_log)
         assert report.violations == 0

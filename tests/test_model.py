@@ -16,7 +16,18 @@ from nlwalk import (
     rate_arrays,
 )
 from nlwalk.errors import InvalidProfile, RateOverflow
-from nlwalk.model import jump_rates, largest_contraction_constant, log_beta_array
+from nlwalk.model import EXP_LIMIT, largest_contraction_constant, log_beta_array
+
+
+def jump_rates(params, L, M, n):
+    """(lambda_n, mu_n) at the given (L, M), site by site from the formulas
+    of the model docstring: the scalar oracle for rate_arrays.  Raises
+    RateOverflow when an exponent leaves the representable range."""
+    a = -params.c * (n - L)
+    b = params.c * (n - M)
+    if abs(a) > EXP_LIMIT or abs(b) > EXP_LIMIT:
+        raise RateOverflow(f"rate exponent out of range at n={n}")
+    return math.exp(params.beta.log_value(n) + a), math.exp(params.beta.log_value(n - 1) + b)
 
 
 def beta_loop(prof, lo, hi):
